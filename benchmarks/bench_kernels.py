@@ -6,6 +6,8 @@ direct-summation N-body (PhiGRAPE's algorithm) vs Barnes-Hut tree
 behind the paper's "no influence in the result" claim.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -40,21 +42,31 @@ def test_a4_tree_kernel_cost(n, benchmark):
     benchmark.pedantic(tree_eval, rounds=5, iterations=1)
 
 
+def _tree_acceleration(pos, mass):
+    return Octree(pos, mass).accelerations(theta=0.6, eps2=1e-4)
+
+
+def _best_of_three(kernel, *args, **kwargs):
+    """Seconds of the fastest of three calls: the first call at a new
+    size also pays the allocator's page faults (60 ms of the tree's
+    250 ms at N = 4096), whichever kernel it is."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        kernel(*args, **kwargs)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
 def test_a4_tree_beats_direct_at_scale(report):
     """The tree's N log N must win over direct N^2 for large N — the
     reason the coupling model is a tree code."""
-    import time
-
     lines = []
     crossover_seen = False
     for n in (256, 1024, 4096):
         pos, vel, mass = system(n)
-        t0 = time.perf_counter()
-        direct_acceleration(pos, mass, eps2=1e-4)
-        t_direct = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        Octree(pos, mass).accelerations(theta=0.6, eps2=1e-4)
-        t_tree = time.perf_counter() - t0
+        t_direct = _best_of_three(direct_acceleration, pos, mass, eps2=1e-4)
+        t_tree = _best_of_three(_tree_acceleration, pos, mass)
         lines.append(
             f"N={n:<6} direct={t_direct * 1e3:8.1f} ms  "
             f"tree={t_tree * 1e3:8.1f} ms  "

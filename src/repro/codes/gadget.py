@@ -10,7 +10,14 @@ resolution relevant here:
 * ideal-gas equation of state (γ = 5/3) with Monaghan artificial
   viscosity;
 * self-gravity through the shared Barnes–Hut octree;
-* kick–drift–kick leapfrog with a Courant-limited global step.
+* kick–drift–kick leapfrog with a Courant-limited global step.  A step
+  needs forces after its drift and again at the top of the next step,
+  and only ``vel`` and ``u`` change in between, so everything a force
+  evaluation derives from positions and masses alone (kd-tree,
+  neighbours, ``h``, ``rho``, pair geometry, kernel gradients, octree
+  build and walk) is computed once per drift and reused; the reused
+  arrays are what a fresh evaluation would recompute, so this is exact
+  (see :func:`sph_state_arrays`).
 
 The *MPI* character of the original is preserved by
 :func:`run_parallel_step` /:class:`ParallelGadget`, which decompose the
@@ -64,25 +71,12 @@ def cubic_spline_gradient(r, h):
     return sigma * dw
 
 
-def sph_state_arrays(pos, vel, mass, u, n_neighbours, gamma,
-                     alpha, beta, eps2, theta, self_gravity,
-                     row_slice=None):
-    """Density + acceleration + du/dt for (a slab of) an SPH system.
-
-    This is the shared compute core for the serial and MPI-parallel
-    paths: the caller passes the *global* arrays and optionally a
-    ``row_slice`` restricting which particles' results are computed
-    (domain decomposition).  Returns (rho, h, acc, dudt, dt_courant)
-    for the selected rows.
-    """
-    pos = np.asarray(pos, dtype=float)
-    vel = np.asarray(vel, dtype=float)
-    mass = np.asarray(mass, dtype=float)
-    u = np.maximum(np.asarray(u, dtype=float), 1e-12)
-    n = len(pos)
-    sel = slice(0, n) if row_slice is None else row_slice
-    k = min(int(n_neighbours), n)
-
+def _sph_geometry(pos, mass, k, sel, decomposed, eps2, theta,
+                  self_gravity):
+    """Everything :func:`sph_state_arrays` derives from positions and
+    masses alone: neighbour lists, smoothing lengths, densities, pair
+    separations, kernel gradients and the self-gravity of the selected
+    rows.  None of it reads ``vel`` or ``u``."""
     tree = cKDTree(pos)
     dist, idx = tree.query(pos[sel], k=k)
     if k == 1:
@@ -97,7 +91,7 @@ def sph_state_arrays(pos, vel, mass, u, n_neighbours, gamma,
 
     # to evaluate the symmetric pressure term we need rho at the
     # neighbours too; recompute it globally only when decomposed
-    if row_slice is None:
+    if not decomposed:
         rho_all = rho
         h_all = h
     else:
@@ -109,43 +103,96 @@ def sph_state_arrays(pos, vel, mass, u, n_neighbours, gamma,
             mass[idx_all] * cubic_spline_kernel(dist_all, h_all[:, None])
         ).sum(axis=1)
 
-    pressure = (gamma - 1.0) * rho_all * u
+    r = np.maximum(dist, 1e-12)
+    # symmetrised smoothing length
+    h_ij = 0.5 * (h[:, None] + h_all[idx])
+    geometry = {
+        "idx": idx, "h": h, "rho": rho, "rho_all": rho_all, "r": r,
+        "h_ij": h_ij,
+        "dr": pos[sel][:, None, :] - pos[idx],         # (m, k, 3)
+        "rho_ij": 0.5 * (rho[:, None] + rho_all[idx]),
+        "mu_denominator": r ** 2 + 0.01 * h_ij ** 2,
+        "grad": cubic_spline_gradient(r, h_ij),        # dW/dr at h_ij
+        "rho2_i": rho[:, None] ** 2,
+        "rho2_j": rho_all[idx] ** 2,
+        "mass_j": mass[idx],
+        "gravity": None,
+    }
+    if self_gravity:
+        geometry["gravity"] = Octree(pos, mass).accelerations(
+            targets=pos[sel], theta=theta, eps2=eps2
+        )
+    return geometry
+
+
+def sph_state_arrays(pos, vel, mass, u, n_neighbours, gamma,
+                     alpha, beta, eps2, theta, self_gravity,
+                     row_slice=None, geometry=None):
+    """Density + acceleration + du/dt for (a slab of) an SPH system.
+
+    This is the shared compute core for the serial and MPI-parallel
+    paths: the caller passes the *global* arrays and optionally a
+    ``row_slice`` restricting which particles' results are computed
+    (domain decomposition).  Returns (rho, h, acc, dudt, dt_courant)
+    for the selected rows.
+
+    The evaluation has a position/mass-only part (:func:`_sph_geometry`:
+    kd-tree, neighbour query, ``h``, ``rho``, pair geometry, kernel
+    gradients, octree build and walk) and a cheap part that also reads
+    ``vel`` and ``u`` (pressure, viscosity, the pair sums).  A KDK step
+    evaluates forces after the drift and again at the top of the next
+    step, and only ``vel`` and ``u`` change in between (the half kick),
+    so an integrator loop passes one dict as *geometry*: an empty dict
+    is filled, a filled one is reused, and the loop clears it on its
+    drift line.  The reused arrays are the ones a fresh evaluation
+    would recompute from the same inputs with the same operations, so
+    the result is bit-identical to evaluating everything twice.
+    """
+    pos = np.asarray(pos, dtype=float)
+    vel = np.asarray(vel, dtype=float)
+    mass = np.asarray(mass, dtype=float)
+    u = np.maximum(np.asarray(u, dtype=float), 1e-12)
+    n = len(pos)
+    sel = slice(0, n) if row_slice is None else row_slice
+    if geometry is None:
+        geometry = {}
+    if not geometry:
+        geometry.update(_sph_geometry(
+            pos, mass, min(int(n_neighbours), n), sel,
+            row_slice is not None, eps2, theta, self_gravity,
+        ))
+    g = geometry
+    idx, h, rho, r, dr = g["idx"], g["h"], g["rho"], g["r"], g["dr"]
+
+    pressure = (gamma - 1.0) * g["rho_all"] * u
     cs = np.sqrt(gamma * (gamma - 1.0) * u)
 
-    dr = pos[sel][:, None, :] - pos[idx]              # (m, k, 3)
     dv = vel[sel][:, None, :] - vel[idx]
-    r = np.maximum(dist, 1e-12)
-    # symmetrised smoothing length and sound speed
-    h_ij = 0.5 * (h[:, None] + h_all[idx])
+    # symmetrised sound speed
     c_ij = 0.5 * (cs[sel][:, None] + cs[idx])
-    rho_ij = 0.5 * (rho[:, None] + rho_all[idx])
     vdotr = (dv * dr).sum(axis=2)
 
     # Monaghan (1992) artificial viscosity
-    mu = h_ij * vdotr / (r ** 2 + 0.01 * h_ij ** 2)
+    mu = g["h_ij"] * vdotr / g["mu_denominator"]
     mu = np.where(vdotr < 0.0, mu, 0.0)
-    visc = (-alpha * c_ij * mu + beta * mu ** 2) / rho_ij
+    visc = (-alpha * c_ij * mu + beta * mu ** 2) / g["rho_ij"]
 
-    grad = cubic_spline_gradient(r, h_ij)             # dW/dr at h_ij
     p_term = (
-        pressure[sel][:, None] / rho[:, None] ** 2
-        + pressure[idx] / rho_all[idx] ** 2
+        pressure[sel][:, None] / g["rho2_i"]
+        + pressure[idx] / g["rho2_j"]
         + visc
     )
     # ∇W = grad * dr/r
-    coeff = mass[idx] * p_term * grad / r
+    coeff = g["mass_j"] * p_term * g["grad"] / r
     acc = -(coeff[:, :, None] * dr).sum(axis=1)
 
-    du_coeff = mass[idx] * (
-        pressure[sel][:, None] / rho[:, None] ** 2 + 0.5 * visc
-    ) * grad / r
+    du_coeff = g["mass_j"] * (
+        pressure[sel][:, None] / g["rho2_i"] + 0.5 * visc
+    ) * g["grad"] / r
     dudt = (du_coeff * vdotr).sum(axis=1)
 
     if self_gravity:
-        gtree = Octree(pos, mass)
-        acc = acc + gtree.accelerations(
-            targets=pos[sel], theta=theta, eps2=eps2
-        )
+        acc = acc + g["gravity"]
 
     vmag = np.linalg.norm(vel[sel], axis=1)
     signal = cs[sel] + vmag + 1e-12
@@ -250,22 +297,29 @@ class GadgetInterface(CodeInterface):
 
     # -- dynamics ---------------------------------------------------------------
 
-    def _forces(self):
+    def _forces(self, geometry=None):
+        """One force evaluation on the stored state; *geometry* is the
+        integrator loop's holder for the position-only part (see
+        :func:`sph_state_arrays`)."""
         st = self.storage
+        # an empty (or absent) holder means this call runs the
+        # neighbour and tree passes; a filled one means it reuses them
+        new_positions = not geometry
         rho, h, acc, dudt, dt_c = sph_state_arrays(
             st.arrays["pos"], st.arrays["vel"], st.arrays["mass"],
             st.arrays["u"], self.n_neighbours, self.gamma,
             self.alpha_visc, self.beta_visc, self.eps2, self.theta,
-            self.self_gravity,
+            self.self_gravity, geometry=geometry,
         )
         st.arrays["rho"][...] = rho
         st.arrays["h"][...] = h
-        n = len(st)
-        self.interaction_count += n * min(self.n_neighbours, n)
-        if self.self_gravity:
-            self.interaction_count += int(
-                n * max(1.0, np.log2(max(n, 2)))
-            )
+        if new_positions:
+            n = len(st)
+            self.interaction_count += n * min(self.n_neighbours, n)
+            if self.self_gravity:
+                self.interaction_count += int(
+                    n * max(1.0, np.log2(max(n, 2)))
+                )
         return acc, dudt, dt_c
 
     def commit_particles(self):
@@ -274,7 +328,15 @@ class GadgetInterface(CodeInterface):
         return 0
 
     def evolve_model(self, end_time):
-        """KDK leapfrog to *end_time* with Courant-limited steps."""
+        """KDK leapfrog to *end_time* with Courant-limited steps.
+
+        The forces after the drift of step n and at the top of step
+        n+1 see the same positions, so the position-only work is done
+        once per drift: ``geometry`` lives in this loop only, is filled
+        by the first evaluation after each drift and cleared by the
+        next drift.  Every call starts with it empty, so positions set
+        from outside between calls never meet stale geometry.
+        """
         self.ensure_state("RUN")
         st = self.storage
         if len(st) == 0:
@@ -283,8 +345,9 @@ class GadgetInterface(CodeInterface):
         pos = st.arrays["pos"]
         vel = st.arrays["vel"]
         u = st.arrays["u"]
+        geometry = {}
         while self.model_time < end_time - 1e-15:
-            acc, dudt, dt_c = self._forces()
+            acc, dudt, dt_c = self._forces(geometry)
             dt = min(
                 self.courant * dt_c, self.max_dt,
                 end_time - self.model_time,
@@ -293,7 +356,8 @@ class GadgetInterface(CodeInterface):
             u += 0.5 * dt * dudt
             np.maximum(u, 1e-12, out=u)
             pos += dt * vel
-            acc, dudt, _ = self._forces()
+            geometry.clear()
+            acc, dudt, _ = self._forces(geometry)
             vel += 0.5 * dt * acc
             u += 0.5 * dt * dudt
             np.maximum(u, 1e-12, out=u)
@@ -318,9 +382,9 @@ class GadgetInterface(CodeInterface):
         st = self.storage
         if not self.self_gravity or len(st) == 0:
             return 0.0
-        tree = Octree(st.arrays["pos"], st.arrays["mass"])
-        phi = tree.potentials(theta=self.theta, eps2=self.eps2)
-        return float(0.5 * (st.arrays["mass"] * phi).sum())
+        return float(
+            0.5 * (st.arrays["mass"] * self.get_potential()).sum()
+        )
 
     def get_total_energy(self):
         return (
@@ -347,6 +411,21 @@ class GadgetInterface(CodeInterface):
             targets=np.asarray(points, dtype=float), theta=self.theta,
             eps2=max(float(eps2), self.eps2),
         )
+
+    def get_potential(self, ids=None):
+        """Potential of the gas at the particles' own positions, each
+        particle's own softened potential left out.
+
+        Evaluated on the stored arrays: the octree recognises a
+        particle as its own source only at an exactly zero separation,
+        which positions that went through a unit conversion on their
+        way back in as ``get_potential_at_point`` targets do not keep.
+        """
+        st = self.storage
+        phi = Octree(st.arrays["pos"], st.arrays["mass"]).potentials(
+            theta=self.theta, eps2=self.eps2
+        )
+        return phi if ids is None else phi[st.rows(ids)]
 
 
 class ParallelGadget:
@@ -391,11 +470,15 @@ class ParallelGadget:
             u = comm.bcast(state["u"], root=0)
             mass = comm.bcast(state["mass"], root=0)
             t = state["t"]
+            # position-only part of the force evaluation, kept from
+            # the post-drift call to the next step's first call
+            geometry = {}
             while t < end_time - 1e-15:
                 rho, h, acc, dudt, dt_c = sph_state_arrays(
                     pos, vel, mass, u, iface.n_neighbours, iface.gamma,
                     iface.alpha_visc, iface.beta_visc, iface.eps2,
                     iface.theta, iface.self_gravity, row_slice=sl,
+                    geometry=geometry,
                 )
                 dt = comm.allreduce(
                     min(iface.courant * dt_c, iface.max_dt,
@@ -406,6 +489,7 @@ class ParallelGadget:
                 my_u = np.maximum(u[sl] + 0.5 * dt * dudt, 1e-12)
                 my_pos = pos[sl] + dt * my_vel
                 pos = comm.allgatherv(my_pos)
+                geometry.clear()
                 # u and vel at half step are needed globally for forces
                 vel_half = comm.allgatherv(my_vel)
                 u_half = comm.allgatherv(my_u)
@@ -413,7 +497,7 @@ class ParallelGadget:
                     pos, vel_half, mass, u_half, iface.n_neighbours,
                     iface.gamma, iface.alpha_visc, iface.beta_visc,
                     iface.eps2, iface.theta, iface.self_gravity,
-                    row_slice=sl,
+                    row_slice=sl, geometry=geometry,
                 )
                 my_vel = vel_half[sl] + 0.5 * dt * acc
                 my_u = np.maximum(u_half[sl] + 0.5 * dt * dudt, 1e-12)

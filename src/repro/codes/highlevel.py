@@ -737,6 +737,20 @@ class Gadget(GravitationalDynamicsCode):
         )
 
     @remote_method
+    def get_potential(self):
+        """Potential of the gas at each gas particle (mirror order),
+        evaluated by the worker on its own arrays so that no particle
+        counts its own softened potential."""
+        self._require_open("get_potential")
+        return QuantityFuture(
+            self.channel.async_call("get_potential", self._ids),
+            transform=lambda v: self._from_code(
+                v, nbody_system.speed ** 2
+            ),
+            description="Gadget.get_potential",
+        )
+
+    @remote_method
     def get_thermal_energy(self):
         return self._energy_future("get_thermal_energy")
 

@@ -8,9 +8,19 @@ tree-code on GPUs", Gaburov et al. 2010), and Gadget uses the octree for
 gas self-gravity.
 
 All kernels are NumPy-vectorized and blocked to bound peak memory, per the
-HPC guides ("vectorizing for loops", "beware of cache effects").  Units
-never appear here — raw float64 arrays only; unit handling happens at the
-AMUSE interface layer.
+HPC guides ("vectorizing for loops", "beware of cache effects"): the
+direct kernels take a block of targets at a time, the tree walk cuts its
+pair lists at ``_PAIR_CHUNK``.  Inside, coordinates are component-major
+— (3, ...) arrays whose x, y and z planes are contiguous — so that the
+``einsum`` contractions over pairs run along contiguous memory; the
+public functions take and return the usual (N, 3).  Units never appear
+here — raw float64 arrays only; unit handling happens at the AMUSE
+interface layer.
+
+Each kernel does its position-only work once per call; what is worth
+keeping *between* calls (a step's post-drift forces are the next step's
+first) is kept by the integrator loops that know nothing moved, see
+:func:`repro.codes.gadget.sph_state_arrays`.
 """
 
 from __future__ import annotations
@@ -26,6 +36,35 @@ __all__ = [
 ]
 
 
+def _pair_offsets(sources, targets, i0, i1, scratch):
+    """``sources[:, None, :] - targets[:, i0:i1, None]`` written into
+    (the leading rows of) *scratch*: a (3, b, N) block of separations,
+    component-major so that every contraction over it runs along
+    contiguous (b, N) planes."""
+    d = scratch[:, :i1 - i0]
+    np.subtract(sources[:, None, :], targets[:, i0:i1, None], out=d)
+    return d
+
+
+def _softened_r2(d, eps2):
+    """Softened squared length of the component-major separations *d*
+    (3, ...).  A pair at zero softened distance (a particle with itself
+    when ``eps2`` is 0) gets inf, so that whatever is divided by a
+    power of it vanishes."""
+    r2 = np.einsum("x...,x...->...", d, d)
+    r2 += eps2
+    if not eps2 > 0:
+        r2[~(r2 > 0)] = np.inf
+    return r2
+
+
+def _mass_over_r3(mass, r2):
+    """``mass / r2**1.5`` per pair (0 where ``r2`` is inf)."""
+    r3 = np.sqrt(r2)
+    r3 *= r2
+    return np.divide(mass, r3, out=r3)
+
+
 def direct_acceleration(pos, mass, eps2=0.0, targets=None, G=1.0,
                         block=1024):
     """Softened direct-sum gravitational acceleration.
@@ -36,20 +75,20 @@ def direct_acceleration(pos, mass, eps2=0.0, targets=None, G=1.0,
     targets : (M, 3) evaluation points; defaults to the sources
         (self-interaction contributes zero force).
     """
-    pos = np.asarray(pos, dtype=float)
     mass = np.asarray(mass, dtype=float)
-    tgt = pos if targets is None else np.asarray(targets, dtype=float)
-    acc = np.zeros_like(tgt)
-    for i0 in range(0, len(tgt), block):
-        i1 = min(i0 + block, len(tgt))
-        d = pos[None, :, :] - tgt[i0:i1, None, :]     # (b, N, 3)
-        r2 = (d * d).sum(axis=2) + eps2
-        inv_r3 = np.zeros_like(r2)
-        np.divide(1.0, r2 * np.sqrt(r2), out=inv_r3, where=r2 > 0)
-        acc[i0:i1] = (mass[None, :, None] * d * inv_r3[:, :, None]).sum(
-            axis=1
-        )
-    return G * acc
+    src = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
+    tgt = src if targets is None else np.ascontiguousarray(
+        np.asarray(targets, dtype=float).T
+    )
+    m = tgt.shape[1]
+    acc = np.empty((3, m))
+    scratch = np.empty((3, min(block, m), src.shape[1]))
+    for i0 in range(0, m, block):
+        i1 = min(i0 + block, m)
+        d = _pair_offsets(src, tgt, i0, i1, scratch)
+        m_r3 = _mass_over_r3(mass, _softened_r2(d, eps2))
+        np.einsum("ij,xij->xi", m_r3, d, out=acc[:, i0:i1])
+    return G * acc.T
 
 
 def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=512):
@@ -57,26 +96,26 @@ def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=512):
 
     jerk_i = G Σ_j m_j [ v_ij / r³ - 3 (r_ij·v_ij) r_ij / r⁵ ]
     """
-    pos = np.asarray(pos, dtype=float)
-    vel = np.asarray(vel, dtype=float)
     mass = np.asarray(mass, dtype=float)
-    n = len(pos)
-    acc = np.zeros_like(pos)
-    jerk = np.zeros_like(pos)
+    pos = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
+    vel = np.ascontiguousarray(np.asarray(vel, dtype=float).T)
+    n = pos.shape[1]
+    acc = np.empty((3, n))
+    jerk = np.empty((3, n))
+    scratch = np.empty((2, 3, min(block, n), n))
     for i0 in range(0, n, block):
         i1 = min(i0 + block, n)
-        dr = pos[None, :, :] - pos[i0:i1, None, :]    # (b, N, 3)
-        dv = vel[None, :, :] - vel[i0:i1, None, :]
-        r2 = (dr * dr).sum(axis=2) + eps2
-        inv_r2 = np.zeros_like(r2)
-        np.divide(1.0, r2, out=inv_r2, where=r2 > 0)
-        inv_r = np.sqrt(inv_r2)
-        inv_r3 = inv_r2 * inv_r
-        rv = (dr * dv).sum(axis=2) * inv_r2
-        m3 = mass[None, :, None] * inv_r3[:, :, None]
-        acc[i0:i1] = (m3 * dr).sum(axis=1)
-        jerk[i0:i1] = (m3 * (dv - 3.0 * rv[:, :, None] * dr)).sum(axis=1)
-    return G * acc, G * jerk
+        dr = _pair_offsets(pos, pos, i0, i1, scratch[0])
+        dv = _pair_offsets(vel, vel, i0, i1, scratch[1])
+        r2 = _softened_r2(dr, eps2)
+        m_rv_r5 = np.einsum("xij,xij->ij", dr, dv)
+        m_rv_r5 /= r2
+        m_r3 = _mass_over_r3(mass, r2)
+        m_rv_r5 *= m_r3
+        np.einsum("ij,xij->xi", m_r3, dr, out=acc[:, i0:i1])
+        np.einsum("ij,xij->xi", m_r3, dv, out=jerk[:, i0:i1])
+        jerk[:, i0:i1] -= 3.0 * np.einsum("ij,xij->xi", m_rv_r5, dr)
+    return G * acc.T, G * jerk.T
 
 
 def direct_potential(pos, mass, eps2=0.0, targets=None, G=1.0,
@@ -86,23 +125,24 @@ def direct_potential(pos, mass, eps2=0.0, targets=None, G=1.0,
     When targets are the sources themselves the self term (m/ε) is
     excluded unless *include_self* is set.
     """
-    pos = np.asarray(pos, dtype=float)
     mass = np.asarray(mass, dtype=float)
+    src = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
     self_eval = targets is None
-    tgt = pos if self_eval else np.asarray(targets, dtype=float)
-    phi = np.zeros(len(tgt))
-    for i0 in range(0, len(tgt), block):
-        i1 = min(i0 + block, len(tgt))
-        d = pos[None, :, :] - tgt[i0:i1, None, :]
-        r2 = (d * d).sum(axis=2) + eps2
-        inv_r = np.zeros_like(r2)
-        np.divide(1.0, np.sqrt(r2), out=inv_r, where=r2 > 0)
+    tgt = src if self_eval else np.ascontiguousarray(
+        np.asarray(targets, dtype=float).T
+    )
+    m = tgt.shape[1]
+    phi = np.empty(m)
+    scratch = np.empty((3, min(block, m), src.shape[1]))
+    for i0 in range(0, m, block):
+        i1 = min(i0 + block, m)
+        d = _pair_offsets(src, tgt, i0, i1, scratch)
+        r = np.sqrt(_softened_r2(d, eps2))
+        m_r = np.divide(mass, r, out=r)
         if self_eval and not include_self and eps2 > 0:
-            rows = np.arange(i0, i1) - i0
-            cols = np.arange(i0, i1)
-            inv_r[rows, cols] = 0.0
-        phi[i0:i1] = -(mass[None, :] * inv_r).sum(axis=1)
-    return G * phi
+            m_r[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
+        np.sum(m_r, axis=1, out=phi[i0:i1])
+    return -G * phi
 
 
 def total_energy(pos, vel, mass, eps2=0.0, G=1.0):
@@ -113,21 +153,45 @@ def total_energy(pos, vel, mass, eps2=0.0, G=1.0):
     return ke + pe
 
 
-class _Node:
-    __slots__ = (
-        "center", "half", "mass", "com", "children", "start", "end",
-        "is_leaf",
-    )
+#: one row per node of :class:`Octree`; ``start:end`` is the node's
+#: slice of ``Octree.order``, ``first_child`` the row of its first
+#: child (children are contiguous rows, in octant order)
+_NODE_DTYPE = np.dtype([
+    ("center", float, 3), ("half", float), ("mass", float),
+    ("com", float, 3), ("start", np.intp), ("end", np.intp),
+    ("is_leaf", bool), ("first_child", np.intp), ("n_children", np.intp),
+])
+
+#: child-centre direction per octant id (bit 2 = x, bit 1 = y, bit 0 = z)
+_OCTANT_SIGN = np.array(
+    [[1.0 if octant & bit else -1.0 for bit in (4, 2, 1)]
+     for octant in range(8)]
+)
+
+#: most (target, source) pairs one step of a tree walk holds at once:
+#: longer pair lists are cut into pieces of about this length, which
+#: bounds a walk's working memory independently of N and theta
+_PAIR_CHUNK = 1 << 15
+
+
+def _segment_positions(starts, counts):
+    """Concatenated ``arange(start, start + count)`` over all pairs."""
+    ends = counts.cumsum()
+    return (starts - (ends - counts)).repeat(counts) + np.arange(ends[-1])
 
 
 class Octree:
     """Barnes–Hut octree over a fixed particle distribution.
 
-    Built once per force evaluation (positions move every step).  The
-    traversal is *vectorized over targets*: each node decides acceptance
-    for all pending targets at once, recursing only with the subset that
-    rejected the node — this keeps the Python-level work O(#nodes) instead
-    of O(#targets × #nodes).
+    Built once per force evaluation (positions move every step), as a
+    flat structure of arrays: ``nodes`` is a record array with one row
+    per node (breadth-first, a node's children contiguous) and
+    ``order`` lists the particles so that every node owns one slice of
+    it.  Both the build and the walk advance a whole tree level at a
+    time — the build by a stable sort of the level's particles on
+    (parent, octant), the walk over arrays of (target, node) pairs —
+    so the Python-level work grows with the depth (and with the pair
+    count over ``_PAIR_CHUNK``), not with the number of nodes.
     """
 
     def __init__(self, pos, mass, leaf_size=16):
@@ -136,134 +200,198 @@ class Octree:
         if self.pos.ndim != 2 or self.pos.shape[1] != 3:
             raise ValueError("positions must be (N, 3)")
         self.leaf_size = int(leaf_size)
-        n = len(self.pos)
-        self.order = np.arange(n)
-        self.nodes = []
-        if n:
-            lo = self.pos.min(axis=0)
-            hi = self.pos.max(axis=0)
-            center = 0.5 * (lo + hi)
-            half = float(max((hi - lo).max() / 2.0, 1e-12))
-            self._build(0, n, center, half)
+        self.order = np.arange(len(self.pos))
+        self.nodes = self._build_levels()
 
     # -- construction -------------------------------------------------------
 
-    def _build(self, start, end, center, half):
-        """Create the node for order[start:end]; returns its index."""
-        node = _Node()
-        node.center = center
-        node.half = half
-        # copy: children overwrite order[start:end] during partitioning
-        idx = self.order[start:end].copy()
-        node.mass = float(self.mass[idx].sum())
-        if node.mass > 0:
-            node.com = (
-                self.mass[idx, None] * self.pos[idx]
-            ).sum(axis=0) / node.mass
-        else:
-            node.com = center.copy()
-        node.start, node.end = start, end
-        index = len(self.nodes)
-        self.nodes.append(node)
-        if end - start <= self.leaf_size or half < 1e-12:
-            node.is_leaf = True
-            node.children = ()
-            return index
-        node.is_leaf = False
-        # partition particles into octants
-        rel = self.pos[idx] >= center[None, :]
-        octant = rel[:, 0] * 4 + rel[:, 1] * 2 + rel[:, 2] * 1
-        children = []
-        cursor = start
-        quarter = half / 2.0
-        for oct_id in range(8):
-            sel = idx[octant == oct_id]
-            if not len(sel):
-                continue
-            self.order[cursor:cursor + len(sel)] = sel
-            offset = np.array(
-                [
-                    quarter if (oct_id & 4) else -quarter,
-                    quarter if (oct_id & 2) else -quarter,
-                    quarter if (oct_id & 1) else -quarter,
-                ]
+    def _build_levels(self):
+        """Split level by level; returns the node record array."""
+        pos, mass, order = self.pos, self.mass, self.order
+        if not len(pos):
+            return np.recarray(0, dtype=_NODE_DTYPE)
+        lo = pos.min(axis=0)
+        hi = pos.max(axis=0)
+        # this level's nodes: slice starts into ``order``, particle
+        # counts, cube centres, the half width they share, and their
+        # particles in node order
+        start = np.zeros(1, dtype=np.intp)
+        count = np.array([len(pos)])
+        center = (0.5 * (lo + hi))[None, :]
+        half = float(max((hi - lo).max() / 2.0, 1e-12))
+        members = order
+        fields = {name: [] for name in _NODE_DTYPE.names}
+        n_nodes = 0
+        while True:
+            first = count.cumsum() - count
+            weight = mass.take(members)
+            node_mass = np.add.reduceat(weight, first)
+            com = np.add.reduceat(
+                weight[:, None] * pos.take(members, axis=0), first, axis=0
             )
-            child = self._build(
-                cursor, cursor + len(sel), center + offset, quarter
+            massless = node_mass == 0.0
+            com /= np.where(massless, 1.0, node_mass)[:, None]
+            com[massless] = center[massless]
+            is_leaf = (count <= self.leaf_size) | (half < 1e-12)
+            n_nodes += len(count)
+            n_children = np.zeros(len(count), dtype=np.intp)
+            first_child = np.zeros(len(count), dtype=np.intp)
+            for name, column in (
+                ("center", center), ("half", np.full(len(count), half)),
+                ("mass", node_mass), ("com", com), ("start", start),
+                ("end", start + count), ("is_leaf", is_leaf),
+                ("first_child", first_child), ("n_children", n_children),
+            ):
+                fields[name].append(column)
+            if is_leaf.all():
+                break
+            # the internal nodes' particles, stably sorted on
+            # (node, octant): every child becomes one run of equal keys
+            split = (~is_leaf).nonzero()[0]
+            members = members[(~is_leaf).repeat(count)]
+            start, count = start.take(split), count.take(split)
+            center = center.take(split, axis=0)
+            above = pos.take(members, axis=0) >= center.repeat(count, axis=0)
+            key = np.arange(0, 8 * len(split), 8).repeat(count)
+            key += above[:, 0] * 4 + above[:, 1] * 2 + above[:, 2]
+            by_key = key.argsort(kind="stable")
+            key = key.take(by_key)
+            members = members.take(by_key)
+            slots = _segment_positions(start, count)
+            order[slots] = members
+            run = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+            child_key = key.take(run)
+            parent = child_key >> 3
+            fan = np.bincount(parent, minlength=len(split))
+            n_children[split] = fan
+            first_child[split] = n_nodes + fan.cumsum() - fan
+            # the next level: one node per run
+            start = slots.take(run)
+            count = np.append(run[1:], len(key)) - run
+            half = half / 2.0
+            center = (
+                center.take(parent, axis=0)
+                + half * _OCTANT_SIGN.take(child_key & 7, axis=0)
             )
-            children.append(child)
-            cursor += len(sel)
-        node.children = tuple(children)
-        return index
+        nodes = np.recarray(n_nodes, dtype=_NODE_DTYPE)
+        for name, columns in fields.items():
+            nodes[name] = np.concatenate(columns)
+        return nodes
 
     # -- traversal ------------------------------------------------------------
 
     def accelerations(self, targets=None, theta=0.6, eps2=0.0, G=1.0):
         """Monopole BH acceleration at the target points."""
-        tgt = self.pos if targets is None else np.asarray(
-            targets, dtype=float
-        )
-        acc = np.zeros_like(tgt)
-        if self.nodes:
-            self._walk(
-                0, np.arange(len(tgt)), tgt, theta, eps2, acc, None
-            )
-        return G * acc
+        return G * self._walk_levels(targets, theta, eps2, False).T
 
     def potentials(self, targets=None, theta=0.6, eps2=0.0, G=1.0):
         """Monopole BH potential at the target points."""
+        return G * self._walk_levels(targets, theta, eps2, True)[0]
+
+    def _walk_levels(self, targets, theta, eps2, potential):
+        """Field of the tree at *targets* (default: the particles),
+        one level of (target, node) pairs at a time; returns it
+        component-major, (3, M) or (1, M).
+
+        A pair whose node is far enough (``size² < θ² r²``; never a
+        leaf) contributes the node's monopole; a pair whose node is a
+        leaf contributes the leaf's particles one by one; any other
+        pair is replaced by the pairs of its children.  Zero-mass nodes
+        are dropped.  Leaf pairs are set aside and evaluated in groups
+        of equal leaf population, each group a dense (pairs, population)
+        block.  Coordinates are handled component-major (contiguous x,
+        y and z rows).
+        """
         tgt = self.pos if targets is None else np.asarray(
             targets, dtype=float
         )
-        phi = np.zeros(len(tgt))
-        if self.nodes:
-            self._walk(0, np.arange(len(tgt)), tgt, theta, eps2, None, phi)
-        return G * phi
+        n_targets = len(tgt)
+        out = np.zeros((1 if potential else 3, n_targets))
+        nodes = self.nodes
+        if not len(nodes) or not n_targets:
+            return out
+        tgt = np.ascontiguousarray(tgt.T)
+        sources = np.ascontiguousarray(self.pos.take(self.order, axis=0).T)
+        source_mass = self.mass.take(self.order)
+        node_mass, is_leaf = nodes.mass, nodes.is_leaf
+        com = np.ascontiguousarray(nodes.com.T)
+        start, first_child = nodes.start, nodes.first_child
+        n_children = nodes.n_children
+        population = nodes.end - start
+        size2 = (2.0 * nodes.half) ** 2
+        theta2 = theta * theta
+        massless = bool((node_mass == 0.0).any())
 
-    def _walk(self, node_id, pending, tgt, theta, eps2, acc, phi):
-        node = self.nodes[node_id]
-        if not len(pending) or node.mass == 0.0:
-            return
-        d = node.com[None, :] - tgt[pending]
-        r2 = (d * d).sum(axis=1)
-        size = 2.0 * node.half
-        if node.is_leaf:
-            accepted = np.zeros(len(pending), dtype=bool)
-        else:
-            accepted = size * size < theta * theta * r2
-        if accepted.any():
-            sel = pending[accepted]
-            dr = d[accepted]
-            r2a = r2[accepted] + eps2
-            if acc is not None:
-                inv_r3 = node.mass / (r2a * np.sqrt(r2a))
-                acc[sel] += dr * inv_r3[:, None]
-            if phi is not None:
-                phi[sel] -= node.mass / np.sqrt(r2a)
-        rejected = pending[~accepted]
-        if not len(rejected):
-            return
-        if node.is_leaf:
-            src = self.order[node.start:node.end]
-            dr = self.pos[src][None, :, :] - tgt[rejected][:, None, :]
-            r2l = (dr * dr).sum(axis=2) + eps2
-            inv_r = np.zeros_like(r2l)
-            np.divide(1.0, np.sqrt(r2l), out=inv_r, where=r2l > 0)
-            if acc is not None:
-                inv_r3 = inv_r / np.where(r2l > 0, r2l, 1.0)
-                acc[rejected] += (
-                    self.mass[src][None, :, None] * dr
-                    * inv_r3[:, :, None]
-                ).sum(axis=1)
-            if phi is not None:
-                # exclude exact self-hits (r == eps only from the
-                # softening): a zero distance means target == source
-                zero_dist = (dr == 0).all(axis=2)
-                inv_phi = inv_r.copy()
-                inv_phi[zero_dist] = 0.0
-                phi[rejected] -= (
-                    self.mass[src][None, :] * inv_phi
-                ).sum(axis=1)
-        else:
-            for child in node.children:
-                self._walk(child, rejected, tgt, theta, eps2, acc, phi)
+        def add(target, d, point_mass, self_hits):
+            """Add to ``out[:, target]`` the field of the point masses
+            (c, k) at offsets *d* (3, c, k) from the k targets."""
+            r2 = _softened_r2(d, eps2)
+            if potential:
+                r = np.sqrt(r2)
+                term = np.divide(point_mass, r, out=r)
+                if self_hits:
+                    # a zero distance means target == source: leave
+                    # out the particle's own softened potential
+                    term[~d.any(axis=0)] = 0.0
+                field = -term.sum(axis=0)[None, :]
+            else:
+                field = np.einsum(
+                    "cj,xcj->xj", _mass_over_r3(point_mass, r2), d
+                )
+            for row, values in zip(out, field):
+                row += np.bincount(target, values, n_targets)
+
+        def add_leaves(target, leaf):
+            """Evaluate (target, leaf) pairs particle by particle, the
+            leaves of equal population together as one dense block."""
+            count = population.take(leaf)
+            for c in np.bincount(count).nonzero()[0]:
+                group = (count == c).nonzero()[0]
+                within = np.arange(c)[:, None]
+                step = max(1, _PAIR_CHUNK // c)
+                for lo in range(0, len(group), step):
+                    piece = group[lo:lo + step]
+                    piece_target = target.take(piece)
+                    source = start.take(leaf.take(piece)) + within
+                    d = sources.take(source, axis=1)          # (3, c, k)
+                    d -= tgt.take(piece_target, axis=1)[:, None, :]
+                    add(piece_target, d, source_mass.take(source), True)
+
+        leaf_pairs, n_leaf_pairs = [], 0
+        pending = [(np.arange(n_targets), np.zeros(n_targets, np.intp))]
+        while pending:
+            target, node = pending.pop()
+            if len(target) > _PAIR_CHUNK:
+                pending.append((target[_PAIR_CHUNK:], node[_PAIR_CHUNK:]))
+                target, node = target[:_PAIR_CHUNK], node[:_PAIR_CHUNK]
+            if massless:
+                keep = node_mass.take(node).nonzero()[0]
+                target, node = target.take(keep), node.take(keep)
+            leaf = is_leaf.take(node)
+            if leaf.any():
+                rows = leaf.nonzero()[0]
+                leaf_pairs.append((target.take(rows), node.take(rows)))
+                n_leaf_pairs += len(rows)
+                rows = (~leaf).nonzero()[0]
+                target, node = target.take(rows), node.take(rows)
+            d = com.take(node, axis=1)
+            d -= tgt.take(target, axis=1)
+            far = size2.take(node) < theta2 * np.einsum("xj,xj->j", d, d)
+            rows = far.nonzero()[0]
+            if len(rows):
+                add(target.take(rows), d.take(rows, axis=1)[:, None, :],
+                    node_mass.take(node.take(rows)), False)
+            rows = (~far).nonzero()[0]
+            if len(rows):
+                parent = node.take(rows)
+                fan = n_children.take(parent)
+                pending.append((
+                    target.take(rows).repeat(fan),
+                    _segment_positions(first_child.take(parent), fan),
+                ))
+            if leaf_pairs and (
+                n_leaf_pairs >= _PAIR_CHUNK or not pending
+            ):
+                add_leaves(*map(np.concatenate, zip(*leaf_pairs)))
+                leaf_pairs, n_leaf_pairs = [], 0
+        return out

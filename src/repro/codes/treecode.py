@@ -143,7 +143,13 @@ class TreeGravityInterface(CodeInterface):
     # -- dynamics ----------------------------------------------------------------
 
     def evolve_model(self, end_time):
-        """Leapfrog KDK until *end_time* with the fixed parameter step."""
+        """Leapfrog KDK until *end_time* with the fixed parameter step.
+
+        The acceleration after a step's drift is the next step's
+        first-kick acceleration (a kick moves no particle), so it is
+        carried over: one tree build and walk per drift.  ``acc`` lives
+        in this loop only and every call starts without one.
+        """
         self.ensure_state("RUN")
         st = self.storage
         if len(st) == 0:
@@ -151,9 +157,11 @@ class TreeGravityInterface(CodeInterface):
             return 0
         pos = st.arrays["pos"]
         vel = st.arrays["vel"]
+        acc = None
         while self.model_time < end_time - 1e-15:
             dt = min(self.timestep, end_time - self.model_time)
-            acc = self._field_acc(pos)
+            if acc is None:
+                acc = self._field_acc(pos)
             vel += 0.5 * dt * acc
             pos += dt * vel
             self._tree = None

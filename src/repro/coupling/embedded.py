@@ -253,9 +253,11 @@ class EmbeddedClusterSimulation:
         gas = self.hydro.particles
         v2 = (gas.velocity.value_in(u.m / u.s) ** 2).sum(axis=1)
         uu = gas.u.value_in(u.J / u.kg)
-        phi_gas = self.hydro.get_potential_at_point(
-            Quantity(0.0, u.m), gas.position
-        ).value_in(u.J / u.kg)
+        # the gas-on-gas term comes from the worker's own arrays: the
+        # mirror positions, sent back as field points, would match the
+        # stored ones bit for bit only by accident and every other
+        # particle would count its own softened potential
+        phi_gas = self.hydro.get_potential().value_in(u.J / u.kg)
         phi_stars = CouplingField(
             self.coupling, [self.gravity]
         ).get_potential_at_point(

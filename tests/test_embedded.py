@@ -135,3 +135,60 @@ class TestDiagnostics:
         assert _classify_stage(0.6) == "expanding"
         assert _classify_stage(0.2) == "shell"
         assert _classify_stage(0.01) == "expelled"
+
+
+class TestGasPotentialHasNoSelfTerm:
+    """``gas_specific_energy`` used to send the mirror positions back
+    to the hydro worker as field points; the octree drops a particle's
+    own softened potential only at an exactly zero separation, which
+    the pc -> m -> N-body round trip keeps for a minority of them, so
+    most particles gained an extra -m/eps."""
+
+    @pytest.fixture
+    def evolved(self):
+        simulation = EmbeddedClusterSimulation(
+            n_stars=16, n_gas=96, rng=11, mass_min=5.0, mass_max=25.0,
+            bridge_timestep_myr=0.1, star_mass_fraction=0.3,
+        )
+        simulation.evolve_one_iteration()
+        yield simulation
+        simulation.stop()
+
+    def test_gas_term_is_the_workers_own_potential(self, evolved):
+        from repro.codes.kernels import Octree
+        from repro.units import nbody as nbody_system
+        from repro.units.core import Quantity
+
+        hydro = evolved.hydro
+        worker = hydro.channel.interface
+        arrays = worker.storage.arrays
+        own = Octree(arrays["pos"], arrays["mass"]).potentials(
+            theta=worker.theta, eps2=worker.eps2
+        )
+        want = evolved.converter.to_si(
+            Quantity(own, nbody_system.speed ** 2)
+        ).value_in(units.J / units.kg)
+        got = hydro.get_potential().value_in(units.J / units.kg)
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert np.array_equal(worker.get_potential([3, 1]), own[[3, 1]])
+
+        # the bug: as field points, the same positions pick up the
+        # self term wherever the round trip moved them by an ulp
+        as_points = hydro.get_potential_at_point(
+            Quantity(0.0, units.m), hydro.particles.position
+        ).value_in(units.J / units.kg)
+        assert (as_points < got * (1 + 1e-9)).sum() > len(got) // 4
+
+    def test_unchanged_by_an_ulp_of_the_mirror_positions(self, evolved):
+        before = evolved.gas_specific_energy()
+        fraction = evolved.diagnostics()["bound_gas_fraction"]
+        gas = evolved.hydro.particles
+        position = gas.position
+        gas.position = type(position)(
+            np.nextafter(position.number, np.inf), position.unit
+        )
+        after = evolved.gas_specific_energy()
+        # the star term does move with the field points, by an ulp's
+        # worth; a self term appearing or vanishing is ~1.7x the value
+        assert np.allclose(after, before, rtol=1e-9, atol=0)
+        assert evolved.diagnostics()["bound_gas_fraction"] == fraction

@@ -199,3 +199,166 @@ class TestOctree:
         assert np.allclose(
             (mass[:, None] * acc).sum(axis=0), 0.0, atol=1e-8
         )
+
+
+def _pairwise_reference(pos, vel, mass, eps2):
+    """Acceleration, jerk and potential by an explicit double loop."""
+    n = len(pos)
+    acc, jerk, phi = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
+    for i in range(n):
+        for j in range(n):
+            dr, dv = pos[j] - pos[i], vel[j] - vel[i]
+            r2 = dr @ dr + eps2
+            if i == j or r2 == 0:
+                continue
+            acc[i] += mass[j] * dr / r2 ** 1.5
+            jerk[i] += mass[j] * (
+                dv / r2 ** 1.5 - 3.0 * (dr @ dv) * dr / r2 ** 2.5
+            )
+            phi[i] -= mass[j] / np.sqrt(r2)
+    return acc, jerk, phi
+
+
+class TestDirectAgainstPairwiseLoop:
+    """The einsum kernels against the loop they vectorize; the sums
+    run in another order, so a tolerance from the dtype, not equality."""
+
+    @pytest.mark.parametrize("eps2", [0.0, 1e-4])
+    @pytest.mark.parametrize("block", [7, 512])
+    def test_acc_jerk_potential(self, eps2, block):
+        rng = np.random.default_rng(11)
+        n = 40
+        pos, vel = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        mass = rng.uniform(0.1, 1.0, n)
+        mass[5] = 0.0
+        pos[9] = pos[8]                       # a coincident pair
+        acc_ref, jerk_ref, phi_ref = _pairwise_reference(
+            pos, vel, mass, eps2
+        )
+        acc, jerk = direct_acc_jerk(pos, vel, mass, eps2, block=block)
+        tol = 1e-13
+        assert np.allclose(acc, acc_ref, rtol=0,
+                           atol=tol * np.abs(acc_ref).max())
+        assert np.allclose(jerk, jerk_ref, rtol=0,
+                           atol=tol * np.abs(jerk_ref).max())
+        assert np.allclose(
+            direct_acceleration(pos, mass, eps2, block=block), acc_ref,
+            rtol=0, atol=tol * np.abs(acc_ref).max(),
+        )
+        assert np.allclose(
+            direct_potential(pos, mass, eps2, block=block), phi_ref,
+            rtol=1e-13, atol=0,
+        )
+
+    def test_unsoftened_self_pair_is_finite(self):
+        pos, vel = np.zeros((3, 3)), np.ones((3, 3))
+        pos[2, 0] = 1.0
+        acc, jerk = direct_acc_jerk(pos, vel, np.ones(3))
+        assert np.isfinite(acc).all() and np.isfinite(jerk).all()
+        assert np.isfinite(direct_potential(pos, np.ones(3))).all()
+
+
+def _tree_case(seed, n, n_duplicates, n_massless):
+    rng = np.random.default_rng(seed)
+    pos = rng.normal(size=(n, 3))
+    mass = rng.uniform(0.1, 1.0, n)
+    pos[rng.integers(0, n, n_duplicates)] = pos[
+        rng.integers(0, n, n_duplicates)
+    ]
+    mass[rng.integers(0, n, n_massless)] = 0.0
+    return pos, mass, rng.normal(size=(23, 3)) * 2.0
+
+
+class TestOctreeAgainstReference:
+    """The flat tree against the recursive one it replaced
+    (tests/reference_octree.py): the same nodes and the same
+    interaction set, so only the summation order may differ."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.integers(1, 400),
+        leaf_size=st.integers(1, 32),
+        theta=st.sampled_from([1e-9, 0.3, 0.6, 0.9]),
+        eps2=st.sampled_from([0.0, 1e-4]),
+        n_duplicates=st.integers(0, 40),
+        n_massless=st.integers(0, 40),
+    )
+    def test_same_nodes_and_fields(self, seed, n, leaf_size, theta, eps2,
+                                   n_duplicates, n_massless):
+        from reference_octree import ReferenceOctree
+
+        pos, mass, external = _tree_case(seed, n, n_duplicates, n_massless)
+        tree = Octree(pos, mass, leaf_size)
+        ref = ReferenceOctree(pos, mass, leaf_size)
+        assert len(tree.nodes) == len(ref.nodes)
+        assert tree.nodes[0].mass == pytest.approx(
+            ref.nodes[0].mass, rel=1e-13
+        )
+        assert np.allclose(tree.nodes[0].com, ref.nodes[0].com,
+                           rtol=1e-12, atol=1e-14)
+        assert sorted(tree.order) == list(range(n))
+        for targets in (None, external):
+            got = tree.accelerations(targets, theta, eps2)
+            want = ref.accelerations(targets, theta, eps2)
+            assert np.allclose(got, want, rtol=1e-10,
+                               atol=1e-12 * np.abs(want).max())
+            got = tree.potentials(targets, theta, eps2)
+            want = ref.potentials(targets, theta, eps2)
+            assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_every_node_owns_its_slice(self):
+        pos, mass, _ = _tree_case(5, 300, 10, 10)
+        tree = Octree(pos, mass, leaf_size=4)
+        nodes = tree.nodes
+        for row in np.flatnonzero(~nodes.is_leaf):
+            kids = nodes[nodes.first_child[row]:
+                         nodes.first_child[row] + nodes.n_children[row]]
+            assert kids.start[0] == nodes.start[row]
+            assert kids.end[-1] == nodes.end[row]
+            assert (kids.start[1:] == kids.end[:-1]).all()
+            assert kids.mass.sum() == pytest.approx(nodes.mass[row])
+        for row in np.flatnonzero(nodes.is_leaf):
+            inside = pos[tree.order[nodes.start[row]:nodes.end[row]]]
+            assert (np.abs(inside - nodes.center[row])
+                    <= nodes.half[row] * (1 + 1e-12)).all()
+
+    def test_all_coincident_and_massless(self):
+        from reference_octree import ReferenceOctree
+
+        pos = np.ones((50, 3))
+        mass = np.zeros(50)
+        tree, ref = Octree(pos, mass, 4), ReferenceOctree(pos, mass, 4)
+        assert len(tree.nodes) == len(ref.nodes)
+        assert not tree.accelerations().any()
+        mass[:] = 1.0
+        tree, ref = Octree(pos, mass, 4), ReferenceOctree(pos, mass, 4)
+        assert len(tree.nodes) == len(ref.nodes)
+        outside = np.array([[3.0, 1.0, 1.0]])
+        assert tree.potentials(outside, eps2=1e-4)[0] == pytest.approx(
+            -50.0 / np.sqrt(4.0 + 1e-4)
+        )
+        # the self-hit rule is "zero separation", so it also drops the
+        # 49 particles sitting exactly on top of each target
+        assert np.array_equal(tree.potentials(eps2=1e-4),
+                              ref.potentials(eps2=1e-4))
+        assert not tree.potentials(eps2=1e-4).any()
+
+    def test_walk_memory_is_bounded(self):
+        """The walk's pair lists are cut at ``kernels._PAIR_CHUNK``:
+        at N = 4096 the leaf pairs alone are ~7e6, which unchunked
+        peak at ~100 MiB (theta 0.6) and ~320 MiB (theta -> 0)."""
+        import tracemalloc
+
+        from repro.ic import new_plummer_model
+
+        p = new_plummer_model(4096, rng=0)
+        pos, mass = p.position.number, p.mass.number
+        for theta in (0.6, 1e-9):
+            tracemalloc.start()
+            try:
+                Octree(pos, mass).accelerations(theta=theta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20, (theta, peak)
