@@ -23,12 +23,16 @@ import numpy as np
 __all__ = [
     "CodeInterface",
     "InCodeParticleStorage",
+    "ParticleStateMixin",
     "CodeStateError",
     "InflightTracker",
     "STATES",
 ]
 
 STATES = ("UNINITIALIZED", "INITIALIZED", "EDIT", "RUN", "STOPPED")
+
+#: what :meth:`InCodeParticleStorage.rows` returns for the whole set
+_ALL = slice(None)
 
 
 class CodeStateError(RuntimeError):
@@ -104,8 +108,16 @@ class InflightTracker:
 class InCodeParticleStorage:
     """Id-keyed structure-of-arrays storage used inside model codes.
 
-    Rows are dense; particle ids map to rows through ``_id_to_row``.
-    Deletion compacts the arrays (ids of other particles stay valid).
+    Rows are dense and ``ids`` is *strictly ascending*: ids come from
+    the monotone counter ``_next_id`` and are appended, and deletion
+    compacts the arrays in order (ids of other particles stay valid).
+    The id array is therefore its own index — :meth:`rows` is a binary
+    search on it, with no second id -> row table to keep in step.
+
+    ``get(name, ids)`` with ids given returns a *fresh* array in every
+    case: on the ``direct`` channel nothing else stands between these
+    arrays and the script's mirror.  ``get(name)`` hands out the live
+    array (the kernels' own access).
     """
 
     def __init__(self, fields):
@@ -116,7 +128,6 @@ class InCodeParticleStorage:
             for name, dim in self.fields.items()
         }
         self.ids = np.empty(0, dtype=np.int64)
-        self._id_to_row = {}
         self._next_id = 0
 
     def __len__(self):
@@ -146,56 +157,58 @@ class InCodeParticleStorage:
                         np.atleast_1d(block), (n,)
                     ).copy()
             self.arrays[name] = np.concatenate([self.arrays[name], block])
-        base_row = len(self.ids)
         self.ids = np.concatenate([self.ids, new_ids])
-        for offset, pid in enumerate(new_ids):
-            self._id_to_row[int(pid)] = base_row + offset
         return new_ids
 
     def rows(self, ids):
-        """Row indices for the given particle ids."""
-        try:
-            return np.array(
-                [self._id_to_row[int(i)] for i in np.atleast_1d(ids)],
-                dtype=np.intp,
-            )
-        except KeyError as exc:
-            raise KeyError(f"unknown particle id {exc}") from None
+        """Index selecting the given particle ids, usable as
+        ``arr[rows]``: ``slice(None)`` when *ids* is the whole set in
+        storage order (what the high-level wrappers always ask for; the
+        selection is then a view, not a gather), else an array of row
+        numbers.  Unknown ids raise ``KeyError``."""
+        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        if np.array_equal(ids, self.ids):
+            return _ALL
+        # searched in ascending order: on shuffled ids every probe of
+        # the binary search is a mispredicted branch (33 ms against
+        # 12 ms for 200 000 ids, the sort included)
+        order = ids.argsort()
+        rows = np.empty(len(ids), dtype=np.intp)
+        rows[order] = self.ids.searchsorted(ids[order])
+        known = rows < len(self.ids)
+        known[known] = self.ids[rows[known]] == ids[known]
+        if not known.all():
+            raise KeyError(f"unknown particle id {ids[known.argmin()]}")
+        return rows
 
     def get(self, name, ids=None):
         arr = self.arrays[name]
         if ids is None:
             return arr
-        return arr[self.rows(ids)]
+        rows = self.rows(ids)
+        return arr.copy() if rows is _ALL else arr[rows]
 
     def set(self, name, values, ids=None):
-        arr = self.arrays[name]
-        values = np.asarray(values, dtype=float)
-        if ids is None:
-            arr[...] = values
-        else:
-            arr[self.rows(ids)] = values
+        rows = _ALL if ids is None else self.rows(ids)
+        self.arrays[name][rows] = np.asarray(values, dtype=float)
 
     def add_to(self, name, values, ids=None):
         """In-place increment (e.g. bridge velocity kicks): one wire
         round trip instead of a get followed by a set."""
         arr = self.arrays[name]
         values = np.asarray(values, dtype=float)
-        if ids is None:
+        rows = _ALL if ids is None else self.rows(ids)
+        if rows is _ALL:
             arr += values
         else:
-            arr[self.rows(ids)] += values
+            arr[rows] += values     # a gather and a scatter
 
     def remove(self, ids):
-        rows = self.rows(ids)
         keep = np.ones(len(self.ids), dtype=bool)
-        keep[rows] = False
+        keep[self.rows(ids)] = False
         for name in self.arrays:
             self.arrays[name] = self.arrays[name][keep]
         self.ids = self.ids[keep]
-        self._id_to_row = {
-            int(pid): row for row, pid in enumerate(self.ids)
-        }
 
 
 class CodeInterface:
@@ -333,3 +346,89 @@ class CodeInterface:
             ):
                 out[name] = attr
         return out
+
+
+class ParticleStateMixin:
+    """Particle-state accessors of the dynamics interfaces (PhiGRAPE,
+    the tree codes, Gadget) over ``self.storage``.
+
+    The state is mass, position, velocity and then the scalar fields
+    named in ``EXTRA_STATE`` (Gadget: internal energy), in that order
+    wherever a method takes or returns all of it.  What a write makes
+    stale differs per code and is all a code has to say: every write
+    first reports what it touches to :meth:`_state_written` — a field
+    name, or ``"particles"`` when particles are added, deleted or
+    wholly rewritten (``set_state``).
+    """
+
+    EXTRA_STATE = ()
+
+    def _state_written(self, what):
+        raise NotImplementedError
+
+    def new_particle(self, mass, x, y, z, vx, vy, vz, *extra):
+        """Add particles; scalar or array arguments; returns ids."""
+        self._state_written("particles")
+        return self.storage.add(
+            mass=mass, pos=np.column_stack([x, y, z]),
+            vel=np.column_stack([vx, vy, vz]),
+            **dict(zip(self.EXTRA_STATE, extra, strict=True)),
+        )
+
+    def delete_particle(self, ids):
+        self._state_written("particles")
+        self.storage.remove(ids)
+        return 0
+
+    def get_number_of_particles(self):
+        return len(self.storage)
+
+    def get_state(self, ids=None):
+        st = self.storage
+        p = st.get("pos", ids)
+        v = st.get("vel", ids)
+        return (
+            st.get("mass", ids), p[:, 0], p[:, 1], p[:, 2],
+            v[:, 0], v[:, 1], v[:, 2],
+            *(st.get(name, ids) for name in self.EXTRA_STATE),
+        )
+
+    def set_state(self, ids, mass, x, y, z, vx, vy, vz, *extra):
+        self._state_written("particles")
+        st = self.storage
+        st.set("mass", mass, ids)
+        st.set("pos", np.column_stack([x, y, z]), ids)
+        st.set("vel", np.column_stack([vx, vy, vz]), ids)
+        for name, values in zip(self.EXTRA_STATE, extra, strict=True):
+            st.set(name, values, ids)
+        return 0
+
+    def get_mass(self, ids=None):
+        return self.storage.get("mass", ids)
+
+    def get_position(self, ids=None):
+        return self.storage.get("pos", ids)
+
+    def get_velocity(self, ids=None):
+        return self.storage.get("vel", ids)
+
+    def set_mass(self, ids, mass):
+        self._state_written("mass")
+        self.storage.set("mass", mass, ids)
+        return 0
+
+    def set_position(self, ids, pos):
+        self._state_written("pos")
+        self.storage.set("pos", pos, ids)
+        return 0
+
+    def set_velocity(self, ids, vel):
+        self._state_written("vel")
+        self.storage.set("vel", vel, ids)
+        return 0
+
+    def add_velocity(self, ids, dv):
+        """Increment velocities (bridge p-kicks): one round trip."""
+        self._state_written("vel")
+        self.storage.add_to("vel", dv, ids)
+        return 0

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .base import CodeInterface, InCodeParticleStorage
+from .base import CodeInterface, InCodeParticleStorage, ParticleStateMixin
 from .kernels import Octree
 
 __all__ = [
@@ -200,7 +200,7 @@ def sph_state_arrays(pos, vel, mass, u, n_neighbours, gamma,
     return rho, h, acc, dudt, dt_courant
 
 
-class GadgetInterface(CodeInterface):
+class GadgetInterface(ParticleStateMixin, CodeInterface):
     """Low-level Gadget interface (serial path; N-body units, G = 1)."""
 
     PARAMETERS = {
@@ -225,41 +225,14 @@ class GadgetInterface(CodeInterface):
 
     # -- particles ---------------------------------------------------------
 
-    def new_particle(self, mass, x, y, z, vx, vy, vz, u):
-        self.invalidate_model()
-        pos = np.column_stack(
-            [np.atleast_1d(np.asarray(c, dtype=float)) for c in (x, y, z)]
-        )
-        vel = np.column_stack(
-            [np.atleast_1d(np.asarray(c, dtype=float))
-             for c in (vx, vy, vz)]
-        )
-        return self.storage.add(mass=mass, pos=pos, vel=vel, u=u)
+    EXTRA_STATE = ("u",)
 
-    def delete_particle(self, ids):
-        self.invalidate_model()
-        self.storage.remove(ids)
-        return 0
-
-    def get_number_of_particles(self):
-        return len(self.storage)
-
-    def get_state(self, ids=None):
-        st = self.storage
-        m = st.get("mass", ids)
-        p = st.get("pos", ids)
-        v = st.get("vel", ids)
-        u = st.get("u", ids)
-        return m, p[:, 0], p[:, 1], p[:, 2], v[:, 0], v[:, 1], v[:, 2], u
-
-    def get_mass(self, ids=None):
-        return self.storage.get("mass", ids)
-
-    def get_position(self, ids=None):
-        return self.storage.get("pos", ids)
-
-    def get_velocity(self, ids=None):
-        return self.storage.get("vel", ids)
+    def _state_written(self, what):
+        # every evolve starts with a force evaluation on the stored
+        # arrays, so mass, velocity and u writes leave the model
+        # running (paper Fig. 7: exchanged between inner steps)
+        if what in ("particles", "pos"):
+            self.invalidate_model()
 
     def get_internal_energy(self, ids=None):
         return self.storage.get("u", ids)
@@ -271,8 +244,7 @@ class GadgetInterface(CodeInterface):
         return 0
 
     def add_internal_energy(self, ids, du):
-        rows = self.storage.rows(ids)
-        self.storage.arrays["u"][rows] += np.asarray(du, dtype=float)
+        self.storage.add_to("u", du, ids)
         return 0
 
     def get_density(self, ids=None):
@@ -280,20 +252,6 @@ class GadgetInterface(CodeInterface):
 
     def get_smoothing_length(self, ids=None):
         return self.storage.get("h", ids)
-
-    def set_position(self, ids, pos):
-        self.invalidate_model()
-        self.storage.set("pos", pos, ids)
-        return 0
-
-    def set_velocity(self, ids, vel):
-        self.storage.set("vel", vel, ids)
-        return 0
-
-    def add_velocity(self, ids, dv):
-        """Increment velocities (bridge p-kicks): one round trip."""
-        self.storage.add_to("vel", dv, ids)
-        return 0
 
     # -- dynamics ---------------------------------------------------------------
 

@@ -482,19 +482,20 @@ class GravitationalDynamicsCode(CommunityCode):
         Gadget subclass adds internal energy)."""
         return ()
 
-    #: worker getter -> (mirror attribute, unit factory) for pull_state;
-    #: subclasses extend this to sync extra attributes in the same frame
-    _PULL_ATTRS = (
-        ("get_mass", "mass", lambda self: self._MASS_UNIT),
-        ("get_position", "position", lambda self: self._LENGTH_UNIT),
-        ("get_velocity", "velocity", lambda self: self._SPEED_UNIT),
+    #: (worker getter, worker setter, mirror attribute, code unit): the
+    #: state pull_state reads and push_state writes, each in one
+    #: batched frame; subclasses extend it to sync extra attributes
+    _STATE_ATTRS = (
+        ("get_mass", "set_mass", "mass", _MASS_UNIT),
+        ("get_position", "set_position", "position", _LENGTH_UNIT),
+        ("get_velocity", "set_velocity", "velocity", _SPEED_UNIT),
     )
 
     @remote_method
     def pull_state(self):
         """Refresh the local mirror from the worker.
 
-        One batched frame fetches every attribute in ``_PULL_ATTRS``
+        One batched frame fetches every attribute in ``_STATE_ATTRS``
         per sync instead of one frame per attribute; the async form
         applies the values (and unit conversion) at join time.
         """
@@ -506,22 +507,18 @@ class GravitationalDynamicsCode(CommunityCode):
             )
         with self.channel.batch():
             requests = [
-                (attr, unit_of, self.channel.async_call(getter, self._ids))
-                for getter, attr, unit_of in self._PULL_ATTRS
+                self.channel.async_call(getter, self._ids)
+                for getter, _setter, _attr, _unit in self._STATE_ATTRS
             ]
 
         def _apply(values):
-            for (attr, unit_of, _request), value in zip(requests, values,
-                                                        strict=True):
-                setattr(
-                    self.particles, attr,
-                    self._from_code(value, unit_of(self)),
-                )
+            for (_getter, _setter, attr, unit), value in zip(
+                    self._STATE_ATTRS, values, strict=True):
+                setattr(self.particles, attr, self._from_code(value, unit))
             return self.particles
 
         return Future(
-            requests=[request for _a, _u, request in requests],
-            transform=_apply,
+            requests=requests, transform=_apply,
             description=f"{type(self).__name__}.pull_state",
         )
 
@@ -545,30 +542,22 @@ class GravitationalDynamicsCode(CommunityCode):
 
     @remote_method
     def push_state(self):
-        """Send mirror positions/velocities/masses to the worker in one
-        batched frame."""
+        """Send every mirror attribute in ``_STATE_ATTRS`` to the
+        worker in one batched frame."""
         self._begin_transition("push_state")
         if not len(self._ids):
             self._abort_transition("push_state")
             return Future.completed(None)
 
         def _launch():
-            pos = self._to_code(
-                self.particles.position, self._LENGTH_UNIT
-            )
-            vel = self._to_code(
-                self.particles.velocity, self._SPEED_UNIT
-            )
-            mass = self._to_code(self.particles.mass, self._MASS_UNIT)
+            writes = [
+                (setter, self._to_code(getattr(self.particles, attr), unit))
+                for _getter, setter, attr, unit in self._STATE_ATTRS
+            ]
             with self.channel.batch():
                 return [
-                    self.channel.async_call(
-                        "set_position", self._ids, pos
-                    ),
-                    self.channel.async_call(
-                        "set_velocity", self._ids, vel
-                    ),
-                    self.channel.async_call("set_mass", self._ids, mass),
+                    self.channel.async_call(setter, self._ids, value)
+                    for setter, value in writes
                 ]
 
         requests = self._launch_guarded("push_state", _launch)
@@ -719,8 +708,9 @@ class Gadget(GravitationalDynamicsCode):
         self.particles.u = self._from_code(uu, self._SPEED_UNIT ** 2)
         return self.particles
 
-    _PULL_ATTRS = GravitationalDynamicsCode._PULL_ATTRS + (
-        ("get_internal_energy", "u", lambda self: self._SPEED_UNIT ** 2),
+    _STATE_ATTRS = GravitationalDynamicsCode._STATE_ATTRS + (
+        ("get_internal_energy", "set_internal_energy", "u",
+         GravitationalDynamicsCode._SPEED_UNIT ** 2),
     )
 
     def _replay_extra_columns(self):

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CodeInterface, InCodeParticleStorage
+from .base import CodeInterface, InCodeParticleStorage, ParticleStateMixin
 from .kernels import direct_acc_jerk, direct_acceleration, direct_potential
 
 __all__ = ["PhiGRAPEInterface"]
 
 
-class PhiGRAPEInterface(CodeInterface):
+class PhiGRAPEInterface(ParticleStateMixin, CodeInterface):
     """Low-level PhiGRAPE interface (Hermite scheme, direct summation)."""
 
     PARAMETERS = {
@@ -54,72 +54,14 @@ class PhiGRAPEInterface(CodeInterface):
             raise ValueError("eta must be positive")
         return 0
 
-    # -- particle management ---------------------------------------------------
-
-    def new_particle(self, mass, x, y, z, vx, vy, vz):
-        """Add particles; scalar or array arguments; returns ids."""
-        self.invalidate_model()
-        pos = np.column_stack(
-            [np.atleast_1d(np.asarray(c, dtype=float)) for c in (x, y, z)]
-        )
-        vel = np.column_stack(
-            [np.atleast_1d(np.asarray(c, dtype=float))
-             for c in (vx, vy, vz)]
-        )
-        return self.storage.add(mass=mass, pos=pos, vel=vel)
-
-    def delete_particle(self, ids):
-        self.invalidate_model()
-        self.storage.remove(ids)
-        return 0
-
-    def get_number_of_particles(self):
-        return len(self.storage)
-
-    def set_state(self, ids, mass, x, y, z, vx, vy, vz):
-        self.invalidate_model()
-        self.storage.set("mass", mass, ids)
-        self.storage.set("pos", np.column_stack([x, y, z]), ids)
-        self.storage.set("vel", np.column_stack([vx, vy, vz]), ids)
-        return 0
-
-    def get_state(self, ids=None):
-        m = self.storage.get("mass", ids)
-        p = self.storage.get("pos", ids)
-        v = self.storage.get("vel", ids)
-        return m, p[:, 0], p[:, 1], p[:, 2], v[:, 0], v[:, 1], v[:, 2]
-
-    def set_mass(self, ids, mass):
-        # mass updates do NOT invalidate: the stellar-evolution coupling
-        # updates masses mid-run (paper Fig. 7, slower SE exchange)
-        self.storage.set("mass", mass, ids)
-        self._acc = None
-        return 0
-
-    def get_mass(self, ids=None):
-        return self.storage.get("mass", ids)
-
-    def get_position(self, ids=None):
-        return self.storage.get("pos", ids)
-
-    def get_velocity(self, ids=None):
-        return self.storage.get("vel", ids)
-
-    def set_position(self, ids, pos):
-        self.invalidate_model()
-        self.storage.set("pos", pos, ids)
-        return 0
-
-    def set_velocity(self, ids, vel):
-        self.invalidate_model()
-        self.storage.set("vel", vel, ids)
-        return 0
-
-    def add_velocity(self, ids, dv):
-        """Increment velocities (bridge p-kicks): one round trip."""
-        self.invalidate_model()
-        self.storage.add_to("vel", dv, ids)
-        return 0
+    def _state_written(self, what):
+        if what == "mass":
+            # mass updates do NOT invalidate: the stellar-evolution
+            # coupling updates masses mid-run (paper Fig. 7, slower SE
+            # exchange)
+            self._acc = None
+        else:
+            self.invalidate_model()
 
     # -- dynamics -----------------------------------------------------------------
 

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import CodeInterface, InCodeParticleStorage
+from .base import CodeInterface, InCodeParticleStorage, ParticleStateMixin
 from .kernels import Octree
 
 __all__ = ["TreeGravityInterface", "OctgravInterface", "FiInterface"]
 
 
-class TreeGravityInterface(CodeInterface):
+class TreeGravityInterface(ParticleStateMixin, CodeInterface):
     """Base for Barnes–Hut tree gravity codes (N-body units, G = 1)."""
 
     PARAMETERS = {
@@ -41,68 +41,11 @@ class TreeGravityInterface(CodeInterface):
 
     # -- particles ------------------------------------------------------------
 
-    def new_particle(self, mass, x, y, z, vx, vy, vz):
-        self.invalidate_model()
-        self._tree = None
-        pos = np.column_stack(
-            [np.atleast_1d(np.asarray(c, dtype=float)) for c in (x, y, z)]
-        )
-        vel = np.column_stack(
-            [np.atleast_1d(np.asarray(c, dtype=float))
-             for c in (vx, vy, vz)]
-        )
-        return self.storage.add(mass=mass, pos=pos, vel=vel)
-
-    def delete_particle(self, ids):
-        self.invalidate_model()
-        self._tree = None
-        self.storage.remove(ids)
-        return 0
-
-    def get_number_of_particles(self):
-        return len(self.storage)
-
-    def get_state(self, ids=None):
-        m = self.storage.get("mass", ids)
-        p = self.storage.get("pos", ids)
-        v = self.storage.get("vel", ids)
-        return m, p[:, 0], p[:, 1], p[:, 2], v[:, 0], v[:, 1], v[:, 2]
-
-    def set_state(self, ids, mass, x, y, z, vx, vy, vz):
-        self.invalidate_model()
-        self._tree = None
-        self.storage.set("mass", mass, ids)
-        self.storage.set("pos", np.column_stack([x, y, z]), ids)
-        self.storage.set("vel", np.column_stack([vx, vy, vz]), ids)
-        return 0
-
-    def set_mass(self, ids, mass):
-        self.storage.set("mass", mass, ids)
-        self._tree = None
-        return 0
-
-    def get_mass(self, ids=None):
-        return self.storage.get("mass", ids)
-
-    def get_position(self, ids=None):
-        return self.storage.get("pos", ids)
-
-    def get_velocity(self, ids=None):
-        return self.storage.get("vel", ids)
-
-    def set_position(self, ids, pos):
-        self._tree = None
-        self.storage.set("pos", pos, ids)
-        return 0
-
-    def set_velocity(self, ids, vel):
-        self.storage.set("vel", vel, ids)
-        return 0
-
-    def add_velocity(self, ids, dv):
-        """Increment velocities (bridge p-kicks): one round trip."""
-        self.storage.add_to("vel", dv, ids)
-        return 0
+    def _state_written(self, what):
+        if what == "particles":
+            self.invalidate_model()
+        if what != "vel":
+            self._tree = None
 
     def load_field_particles(self, mass, pos):
         """Replace the whole particle content (coupling-model fast path).
