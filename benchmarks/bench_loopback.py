@@ -65,7 +65,7 @@ def test_e2_throughput(channel, report, benchmark):
 
 def test_e2_large_array_throughput(channel, report, benchmark):
     """The zero-copy path: a float64 array crosses as one out-of-band
-    buffer per direction (protocol v2)."""
+    buffer per direction."""
     payload = np.zeros(PAYLOAD_BYTES // 8, dtype=np.float64)
 
     result = benchmark.pedantic(
@@ -76,12 +76,11 @@ def test_e2_large_array_throughput(channel, report, benchmark):
     seconds = benchmark.stats.stats.median
     gbit_per_s = 2 * payload.nbytes * 8 / seconds / 1e9
     report(
-        "E2: daemon loopback large-array throughput (wire v2)",
+        "E2: daemon loopback large-array throughput",
         [f"measured {gbit_per_s:.2f} Gbit/s "
          f"({payload.nbytes // 2 ** 20} MiB float64 echo, "
-         f"median of {ROUNDS}, wire v{channel.wire_version})"],
+         f"median of {ROUNDS})"],
     )
-    assert channel.wire_version >= 2
     assert gbit_per_s > 1.0, "loopback far below the paper's class"
 
 

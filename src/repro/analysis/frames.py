@@ -12,11 +12,12 @@ Three cross-checks over the wire layer, all AST-derived:
 2. **Capability negotiation** — the key sets of the hello handshake
    must line up end to end: every key a client offer function
    (``_offer_capabilities`` / ``_hello_caps``) puts in its returned
-   dict must be examined by an accept site (``accept_capabilities`` or
-   the daemon's hello arm in ``_serve``), and every key the client
-   applies from the ack (``_apply_negotiated_caps``) must be one the
-   accept side can actually grant.  A typo'd capability name silently
-   negotiates to "off" — this check makes it loud.
+   dict must be examined by an accept site (``accept_capabilities``,
+   ``parse_hello`` or the daemon's hello arm in ``_serve``), and every
+   key the client applies from the ack (``_apply_negotiated_caps``)
+   must be one the accept side can actually grant.  A typo'd
+   capability name silently negotiates to "off" — this check makes it
+   loud.
 
 3. **Frame kinds** — every request kind a client sends (tuples built
    by ``*_message`` helpers or passed to the send/request plumbing,
@@ -37,7 +38,7 @@ __all__: list[str] = []
 #: functions whose returned dict carries the client's hello offer
 _OFFER_FUNCS = frozenset({"_offer_capabilities", "_hello_caps"})
 #: functions that examine an offer (variables named offered/offer)
-_ACCEPT_FUNCS = frozenset({"accept_capabilities", "_serve"})
+_ACCEPT_FUNCS = frozenset({"accept_capabilities", "parse_hello", "_serve"})
 _ACCEPT_VARS = frozenset({"offered", "offer"})
 #: the client side applying the negotiated ack
 _APPLY_FUNCS = frozenset({"_apply_negotiated_caps"})
@@ -46,7 +47,7 @@ _APPLY_FUNCS = frozenset({"_apply_negotiated_caps"})
 #: the queue-shaped transports (mpi mailboxes, TaskGraph event loop)
 _SEND_FUNCS = frozenset({
     "_send_frame_locked", "_request", "send_frame", "send_frame_v2",
-    "reply", "reply_frame", "pack_frame", "put",
+    "reply", "reply_frame", "put",
 })
 #: reply kinds delivered through the reader's else-branch
 _IMPLICIT_KINDS = frozenset({"error"})

@@ -33,9 +33,8 @@ Public surface:
   ``--warm-pool N`` (pre-spawned subprocess workers that cut
   time-to-first-evolve), ``--max-sessions M`` and ``--idle-timeout S``.
 * :class:`DistributedChannel` — the wire layer underneath a session's
-  pilots.  Constructing it directly (the pre-session entry point)
-  still works but emits a :class:`DeprecationWarning`; each such
-  channel becomes its own single-tenant session.
+  pilots.  Constructed directly, each channel is its own
+  single-tenant session.
 * The modeled wide-area side: :class:`DistributedAmuse`,
   :class:`ResourceSpec`, :class:`Pilot`, :class:`JungleRunner`,
   :class:`FaultPolicy`, :class:`WorkerDiedError` and

@@ -8,7 +8,7 @@ routes every RPC through the daemon's loopback socket.
 Two layers live here:
 
 * :class:`_DaemonLink` — the control-plane connection: TCP connect,
-  hello negotiation (wire version, compression codecs, session
+  hello capability handshake (compression codecs, session
   membership), echo/status/close_session requests.  A link that was
   granted a session carries ``session_id``/``session_token``; the
   token is the credential a second connection presents to join the
@@ -18,24 +18,23 @@ Two layers live here:
   carry the session id once one is granted, so the daemon can verify
   a tenant never addresses another tenant's pilots.
 
-The SUPPORTED way to build pilot channels is now::
+Pilot channels are normally placed through a session::
 
     session = repro.distributed.connect(daemon_address)
     gravity = session.code(PhiGRAPE, conv, channel_type="shm")
 
-Constructing :class:`DistributedChannel` directly (or via
-``channel_type="ibis"`` with a ``daemon``/``address`` option) still
-works — each such channel becomes its own single-tenant session — but
-emits a :class:`DeprecationWarning` once per process, as do the old
-``daemon_host``/``daemon_port`` kwargs.
+which constructs :class:`DistributedChannel` with ``session=``.
+Constructed without one (directly, or via ``channel_type="ibis"`` with
+a ``daemon``/``address`` option), a channel is its own single-tenant
+session.
 
 Requests can be pipelined like the sockets channel (async calls), and
 batched (``with channel.batch(): ...`` coalesces queued async calls
-into one multi-call frame through the daemon).  The wire version is
-negotiated on connect: v2 moves array payloads as out-of-band buffers
-(zero-copy scatter-gather send, ``recv_into`` receive) and the daemon
-forwards result buffers without re-pickling; a v1 daemon answers the
-hello with an error and the channel transparently stays on v1 framing.
+into one multi-call frame through the daemon).  Array payloads travel
+as out-of-band buffers (zero-copy scatter-gather send, ``recv_into``
+receive) and the daemon forwards result buffers without re-pickling;
+a daemon speaking another protocol version refuses the hello and the
+constructor raises :class:`~repro.rpc.protocol.ProtocolError`.
 
 Two transport knobs follow the paper's locality spectrum:
 
@@ -61,8 +60,7 @@ And one routing knob keeps the daemon off the critical path entirely:
   ``worker_mode="shm"`` pilot (zero wire copies client → pilot), and
   AMCX cancellation, so ``Future.cancel()`` can interrupt a hung
   REMOTE pilot.  ``autobatch="auto"`` adds Nagle-style micro-batching
-  of async calls on WAN-profile relayed channels.  A daemon too old to
-  ack the relay capability quietly keeps the decoded dispatcher path.
+  of async calls on WAN-profile relayed channels.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ from __future__ import annotations
 import pickle
 import socket
 import threading
-import warnings
 
 from ..rpc.channel import (
     AsyncRequest,
@@ -91,16 +88,6 @@ __all__ = ["DistributedChannel"]
 #: faster than any codec, so auto compression stays off for them
 _LOCAL_RESOURCES = frozenset({"local", "localhost"})
 
-#: deprecation shims warn exactly once per process per shim
-_DEPRECATION_SEEN = set()
-
-
-def _warn_deprecated(key, message):
-    if key in _DEPRECATION_SEEN:
-        return
-    _DEPRECATION_SEEN.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
 
 class _DaemonLink(StreamChannel):
     """Control-plane connection to an Ibis daemon (no pilot attached).
@@ -114,9 +101,8 @@ class _DaemonLink(StreamChannel):
     _lost_message = "daemon connection lost"
 
     def __init__(self, daemon=None, address=None, resource=None,
-                 max_version=PROTOCOL_VERSION, compress="auto",
-                 compress_min=None, session=None, session_name=None,
-                 require_session=False, relay=False):
+                 compress="auto", compress_min=None, session=None,
+                 session_name=None, relay=False):
         super().__init__()
         if daemon is not None:
             # a daemon instance is same-host by construction; prefer
@@ -139,7 +125,6 @@ class _DaemonLink(StreamChannel):
         self._compress_min = compress_min
         self._relay_requested = bool(relay)
         self._session_name = session_name
-        self._require_session = require_session or session is not None
         self.session_id = None
         self.session_token = None
 
@@ -157,8 +142,11 @@ class _DaemonLink(StreamChannel):
             target=self._read_responses, daemon=True
         )
         self._reader.start()
-
-        self.wire_version = self._negotiate(max_version)
+        try:
+            self._negotiate()
+        except BaseException:
+            self.close()
+            raise
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -193,34 +181,29 @@ class _DaemonLink(StreamChannel):
             caps["session"] = session
         return caps
 
-    def _negotiate(self, max_version):
-        """Hello handshake; a v1 daemon answers with an error frame,
-        which is the downgrade signal.  A pre-capability daemon ignores
-        the offer slot and acks a bare version — compression then
-        stays off and no session is granted.
+    def _hello(self, caps, timeout):
+        """Send the hello capability offer *caps*; returns the ack.
 
-        A link that REQUIRES a session (join token or ``connect()``)
-        must not downgrade: the daemon's rejection (bad token, session
-        limit) surfaces as the :class:`RemoteError` it is."""
-        if max_version < 2:
-            return 1
-        caps = self._hello_caps()
-        hello = ("hello", max_version) + ((caps,) if caps else ())
+        A refused hello (another protocol version) raises
+        :class:`ProtocolError` naming both versions; a refused session
+        (bad token, session limit) the :class:`RemoteError` it is."""
         try:
-            ack = self._request(hello).result(timeout=10)
-        except RemoteError:
-            if self._require_session:
+            return self._request(
+                ("hello", PROTOCOL_VERSION, caps)
+            ).result(timeout=timeout)
+        except RemoteError as exc:
+            if exc.exc_class != "ProtocolError":
                 raise
-            return 1
-        if isinstance(ack.get("caps"), dict):
-            self.wire_caps = ack["caps"]
-        granted = ack.get("session")
-        if isinstance(granted, dict):
-            self.session_id = granted.get("id")
-            self.session_token = granted.get("token")
-        self._wire.version = min(max_version, ack["version"])
+            raise self._hello_refused(exc.remote_message) from None
+
+    def _negotiate(self):
+        """Hello handshake with the daemon; the ack grants the
+        session."""
+        ack = self._hello(self._hello_caps(), timeout=10)
+        self.wire_caps = ack["caps"]
+        self.session_id = ack["session"]["id"]
+        self.session_token = ack["session"]["token"]
         self._apply_negotiated_caps()
-        return self._wire.version
 
     def _request(self, body):
         """Send a daemon-surface request (echo/status/start_worker/...)."""
@@ -250,6 +233,12 @@ class _DaemonLink(StreamChannel):
         """Drop the connection (the daemon reaps an empty session)."""
         self._stopped = True
         try:
+            # shutdown first: a bare close() from this process neither
+            # wakes the reader thread nor tells the daemon
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._sock.close()
         except OSError:
             pass
@@ -261,36 +250,14 @@ class DistributedChannel(_DaemonLink):
     """Channel from the coupler to a daemon-managed (remote) worker."""
 
     def __init__(self, interface_factory, daemon=None, address=None,
-                 resource="local", node_count=1,
-                 max_version=PROTOCOL_VERSION, worker_mode=None,
+                 resource="local", node_count=1, worker_mode=None,
                  compress="auto", compress_min=None, session=None,
                  relay=False, autobatch="auto", shm_min=None,
-                 pilot_capabilities=True, stop_timeout=None,
-                 daemon_host=None, daemon_port=None,
-                 _from_session=False):
-        if daemon_host is not None or daemon_port is not None:
-            _warn_deprecated(
-                "daemon-host-port",
-                "the daemon_host/daemon_port kwargs are deprecated; "
-                "pass address=(host, port) or use "
-                "repro.distributed.connect()",
-            )
-            if address is None and daemon is None:
-                address = (daemon_host or "127.0.0.1", int(daemon_port))
-        if session is not None:
-            _from_session = True
-        if not _from_session:
-            _warn_deprecated(
-                "direct-distributed-channel",
-                "constructing DistributedChannel directly is "
-                "deprecated; use repro.distributed.connect() and "
-                "Session.code() to place pilots",
-            )
+                 stop_timeout=None):
         super().__init__(
             daemon=daemon, address=address, resource=resource,
-            max_version=max_version, compress=compress,
-            compress_min=compress_min, session=session,
-            relay=relay,
+            compress=compress, compress_min=compress_min,
+            session=session, relay=relay,
         )
         self.node_count = int(node_count)
         self.worker_mode = worker_mode
@@ -303,31 +270,21 @@ class DistributedChannel(_DaemonLink):
         #: True once this connection was flipped into the daemon's
         #: zero-decode splice (frames travel client <-> pilot directly)
         self.relayed = False
-        self._pilot_capabilities = bool(pilot_capabilities)
-        # relay needs BOTH sides: the request and the daemon's ack (an
-        # old daemon that never saw the capability keeps the decoded
-        # dispatcher path — graceful degrade, compression stays off
-        # because the relay hello withheld the offer)
-        relay_active = bool(relay) and bool(self.wire_caps.get("relay"))
+        if relay and not self.wire_caps.get("relay"):
+            self.close()
+            raise ProtocolError(
+                f"{self._describe()}: relay requested but the daemon "
+                "did not ack it"
+            )
 
         factory_bytes = pickle.dumps(interface_factory, protocol=5)
-        # worker_mode=None keeps the pre-subprocess 3-tuple shape, so
-        # this client still talks to older daemons (which then apply
-        # their own default mode); a granted session id rides after the
-        # mode so the daemon can pin the pilot to this tenant
-        start = ("start_worker", factory_bytes, resource, node_count)
-        if relay_active:
-            options = {"relay": True}
-            if not self._pilot_capabilities:
-                options["worker_capabilities"] = False
-            start += (worker_mode, self.session_id, options)
-        else:
-            if worker_mode is not None or self.session_id is not None:
-                start += (worker_mode,)
-            if self.session_id is not None:
-                start += (self.session_id,)
-        self.worker_id = self._request(start).result()
-        if relay_active:
+        # the granted session id rides after the mode so the daemon
+        # can pin the pilot to this tenant
+        self.worker_id = self._request((
+            "start_worker", factory_bytes, resource, node_count,
+            worker_mode, self.session_id, {"relay": True} if relay else {},
+        )).result()
+        if relay:
             self._attach_relay(worker_mode)
             self._maybe_enable_autobatch(autobatch)
         elif autobatch not in (None, False, "auto"):
@@ -365,22 +322,13 @@ class DistributedChannel(_DaemonLink):
             compress_min=self._compress_min,
             shm_segment_size=shm_segment_size,
             shm_min=self._shm_min,
-            cancellable=True,
         )
-        hello = ("hello", PROTOCOL_VERSION, (),
-                 {"caps": caps} if caps else {})
         try:
-            ack = self._request(hello).result(timeout=30)
+            ack = self._hello(caps, timeout=30)
         except BaseException:
             self._release_shm()
             raise
-        if isinstance(ack, dict) and "version" in ack:
-            self.wire_caps = ack.get("caps") or {}
-            self._wire.version = min(PROTOCOL_VERSION, ack["version"])
-        else:
-            # pre-v2 pilot acked nothing; stay on v1 framing, no caps
-            self.wire_caps = {}
-            self._wire.version = 1
+        self.wire_caps = ack["caps"]
         self._apply_negotiated_caps()
 
     def _maybe_enable_autobatch(self, autobatch):
@@ -403,18 +351,13 @@ class DistributedChannel(_DaemonLink):
             # spliced frames are read by the pilot's worker_loop, so
             # they use the plain worker shape — no worker id, no sid
             return ("call", call_id, method, args, kwargs)
-        message = ("call", call_id, self.worker_id, method, args, kwargs)
-        if self.session_id is not None:
-            message += (self.session_id,)
-        return message
+        return ("call", call_id, self.worker_id, method, args, kwargs,
+                self.session_id)
 
     def _mcall_message(self, call_id, calls):
         if self.relayed:
             return ("mcall", call_id, calls)
-        message = ("mcall", call_id, self.worker_id, calls)
-        if self.session_id is not None:
-            message += (self.session_id,)
-        return message
+        return ("mcall", call_id, self.worker_id, calls, self.session_id)
 
     def stop(self):
         if self.relayed:
@@ -423,24 +366,17 @@ class DistributedChannel(_DaemonLink):
             if self._begin_stop():
                 self._release_shm()
             return
-        self._legacy_stop()
-
-    def _legacy_stop(self):
-        # _stopped may already be set by the reader's loss cleanup;
-        # the socket still needs releasing in that case
+        # decoded pilot: the daemon retires it.  _stopped may already
+        # be set by the reader's loss cleanup; the socket still needs
+        # releasing in that case
         if not self._stopped:
-            stop = ("stop_worker", self.worker_id)
-            if self.session_id is not None:
-                stop += (self.session_id,)
             try:
-                self._request(stop).result(timeout=10)
+                self._request(
+                    ("stop_worker", self.worker_id, self.session_id)
+                ).result(timeout=10)
             except (ProtocolError, RemoteError, TimeoutError):
                 pass
-            self._stopped = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self.close()
 
 
 register_channel_factory("ibis", DistributedChannel)

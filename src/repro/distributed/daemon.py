@@ -27,11 +27,12 @@ and connect with :func:`repro.distributed.connect`.
 
 Daemon message surface (all frames per :mod:`repro.rpc.protocol`):
 
-* ``("hello", req_id, max_version[, caps])`` — wire-version
-  negotiation; the optional *caps* dict may offer per-buffer
-  compression codecs and a ``session`` entry (``{"join": token}`` to
-  attach to an existing session, ``{"name": ...}`` to label a new
-  one).  The ack carries the granted ``{"id", "token"}`` pair.
+* ``("hello", req_id, PROTOCOL_VERSION, caps)`` — the capability
+  handshake (a version mismatch is answered with an error frame);
+  *caps* may offer per-buffer compression codecs, ``relay`` and a
+  ``session`` entry (``{"join": token}`` to attach to an existing
+  session, ``{"name": ...}`` to label a new one).  The ack carries the
+  granted ``{"id", "token"}`` pair.
 * ``("start_worker", req_id, factory_bytes, resource, node_count
   [, worker_mode[, session_id[, options]]])`` — *worker_mode*
   ("thread", "subprocess" or "shm") overrides the daemon's default;
@@ -62,12 +63,12 @@ A frame-carried ``session_id`` must match the session the connection
 authenticated into at hello — the id alone is no credential, the join
 token is; worker ids are resolved ONLY inside the owning session's
 namespace, so cross-tenant addressing fails even with a guessed id.
+A connection that never says hello is served in an implicit
+single-tenant session.
 
-Connections start on v1 framing; a hello upgrades the connection to the
-zero-copy v2 framing (out-of-band buffers, scatter-gather send) when
-both sides support it.  Result arrays are handed to the send path as
-buffers of the worker's own output — the daemon hop forwards them
-without re-pickling their contents into an intermediate payload.
+Result arrays are handed to the send path as out-of-band buffers of
+the worker's own output — the daemon hop forwards them without
+re-pickling their contents into an intermediate payload.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ from ..rpc.protocol import (
     RelayScratch,
     WireState,
     accept_capabilities,
+    parse_hello,
     recv_frame,
     relay_frame,
     send_frame,
-    send_frame_v2,
 )
 from ..rpc.subproc import SubprocessChannel
 from .session import AdmissionController, SessionState, WarmWorkerPool
@@ -181,14 +182,13 @@ class _RelayThreadWorker:
     pid = None
     warm_hit = False
 
-    def __init__(self, factory, worker_capabilities=True):
+    def __init__(self, factory):
         self.interface = factory()
         daemon_side, worker_side = socket.socketpair()
         self.relay_sock = daemon_side
         self.attached = False
         self._thread = threading.Thread(
             target=worker_loop, args=(self.interface, worker_side),
-            kwargs={"enable_capabilities": worker_capabilities},
             name="relay-thread-pilot", daemon=True,
         )
         self._thread.start()
@@ -227,12 +227,11 @@ class _RelaySubprocessWorker:
 
     warm_hit = False
 
-    def __init__(self, factory, mode="subprocess", warm_pool=None,
-                 worker_capabilities=True):
+    def __init__(self, factory, mode="subprocess", warm_pool=None):
         self.mode = mode
         self.attached = False
         channel = None
-        if warm_pool is not None and worker_capabilities:
+        if warm_pool is not None:
             channel = warm_pool.claim()
         if channel is not None:
             try:
@@ -244,9 +243,7 @@ class _RelaySubprocessWorker:
                 )
                 channel = None
         if channel is None:
-            channel = SubprocessChannel(
-                warm=True, worker_capabilities=worker_capabilities,
-            )
+            channel = SubprocessChannel(warm=True)
             # detach failure tears the child down inside the channel;
             # the error propagates to the start_worker reply
             channel.detach_for_relay(factory)
@@ -289,8 +286,7 @@ class IbisDaemon:
     (defaults to the core count).
     """
 
-    def __init__(self, host="127.0.0.1", port=0,
-                 max_version=PROTOCOL_VERSION, worker_mode="thread",
+    def __init__(self, host="127.0.0.1", port=0, worker_mode="thread",
                  warm_pool=0, max_sessions=None, idle_timeout=None,
                  max_active=None, drain_timeout=5.0):
         if worker_mode not in _WORKER_MODES:
@@ -300,7 +296,6 @@ class IbisDaemon:
             )
         self._host = host
         self._port = int(port)
-        self._max_version = max_version
         self._worker_mode = worker_mode
         self._warm_size = int(warm_pool)
         self._max_sessions = max_sessions
@@ -473,7 +468,8 @@ class IbisDaemon:
 
     def _attach_session(self, state, request):
         """Attach this connection to a session: join by token, or mint
-        a new one (subject to --max-sessions)."""
+        a new one (subject to --max-sessions).  A refusal raises
+        :class:`PermissionError`."""
         if state["session"] is not None:
             return state["session"]
         name = token = None
@@ -484,11 +480,11 @@ class IbisDaemon:
             if token is not None:
                 session = self._by_token.get(token)
                 if session is None:
-                    raise ProtocolError("unknown session token")
+                    raise PermissionError("unknown session token")
             else:
                 if self._max_sessions is not None \
                         and len(self._sessions) >= self._max_sessions:
-                    raise ProtocolError(
+                    raise PermissionError(
                         f"session limit reached "
                         f"({self._max_sessions})"
                     )
@@ -578,10 +574,7 @@ class IbisDaemon:
         received_mark = 0
 
         def reply_frame(message):
-            if wire.version >= 2:
-                sent = send_frame_v2(conn, message, wire)
-            else:
-                sent = send_frame(conn, message)
+            sent = send_frame(conn, message, wire)
             session = state["session"]
             if session is not None:
                 session.accounting["bytes_out"] += sent
@@ -601,17 +594,14 @@ class IbisDaemon:
                     session.accounting["bytes_in"] += delta_in
                     session.touch()
                 kind, req_id, *rest = message
-                if kind == "hello" and self._max_version >= 2:
-                    wire.version = min(int(rest[0]), self._max_version)
-                    ack = {"version": wire.version}
-                    offer = rest[1] if len(rest) >= 2 \
-                        and isinstance(rest[1], dict) else {}
+                if kind == "hello":
                     fresh = state["session"] is None
                     try:
+                        offer = parse_hello(rest)
                         session = self._attach_session(
                             state, offer.get("session")
                         )
-                    except ProtocolError as exc:
+                    except (ProtocolError, PermissionError) as exc:
                         reply_frame(
                             ("error", req_id, type(exc).__name__,
                              str(exc), traceback.format_exc()),
@@ -622,20 +612,21 @@ class IbisDaemon:
                         # connection had a session; backfill the hello
                         session.accounting["bytes_in"] += delta_in
                     session.touch()
-                    if offer:
-                        # capability offer (codec list): the daemon is
-                        # the WAN-relay end, so a negotiated codec
-                        # shrinks exactly the modeled-bottleneck hop
-                        ack["caps"] = accept_capabilities(offer, wire)
-                        if offer.get("relay"):
-                            # relay is a daemon-level capability, not
-                            # a wire one: acked here, honoured by the
-                            # attach_worker splice
-                            ack["caps"]["relay"] = True
-                    ack["session"] = {
-                        "id": session.sid, "token": session.token,
-                    }
-                    reply_frame(("result", req_id, ack))
+                    # capability offer (codec list): the daemon is the
+                    # WAN-relay end, so a negotiated codec shrinks
+                    # exactly the modeled-bottleneck hop
+                    caps = accept_capabilities(offer, wire)
+                    if offer.get("relay"):
+                        # relay is a daemon-level capability, not a
+                        # wire one: acked here, honoured by the
+                        # attach_worker splice
+                        caps["relay"] = True
+                    reply_frame(("result", req_id, {
+                        "version": PROTOCOL_VERSION, "caps": caps,
+                        "session": {
+                            "id": session.sid, "token": session.token,
+                        },
+                    }))
                     continue
                 if kind == "attach_worker":
                     try:
@@ -681,11 +672,9 @@ class IbisDaemon:
                     # frame on it
                     self._relay(conn, session, worker_id, worker)
                     return
-                # a max_version=1 daemon behaves exactly like a pre-v2
-                # one: hello falls through to the unknown-kind error
                 try:
                     if session is None:
-                        # v1 / no-hello client: implicit single-tenant
+                        # no-hello client: implicit single-tenant
                         # session, exactly the paper's original model
                         session = self._attach_session(state, None)
                         session.accounting["bytes_in"] += delta_in
@@ -706,6 +695,10 @@ class IbisDaemon:
                 if kind == "shutdown":
                     self.shutdown()
                     return
+        except OSError:
+            # the peer left, or shutdown closed the socket, before a
+            # reply went out: nobody is left to answer
+            pass
         finally:
             with self._lock:
                 self._conns.discard(conn)
@@ -798,17 +791,12 @@ class IbisDaemon:
                         f"unknown worker mode {worker_mode!r}; "
                         f"known: {sorted(_WORKER_MODES)}"
                     )
-                pilot_caps = bool(
-                    options.get("worker_capabilities", True)
-                )
                 code_name = getattr(
                     getattr(factory, "func", factory), "__name__",
                     type(factory).__name__,
                 )
                 if worker_mode == "thread":
-                    worker = _RelayThreadWorker(
-                        factory, worker_capabilities=pilot_caps,
-                    )
+                    worker = _RelayThreadWorker(factory)
                 else:
                     # relay shm pilots are plain subprocess spawns:
                     # the shm leg is negotiated client<->pilot end to
@@ -816,7 +804,6 @@ class IbisDaemon:
                     worker = _RelaySubprocessWorker(
                         factory, mode=worker_mode,
                         warm_pool=self.warm_pool,
-                        worker_capabilities=pilot_caps,
                     )
                     key = "warm_hits" if worker.warm_hit else \
                         "cold_spawns"

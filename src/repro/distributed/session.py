@@ -47,11 +47,7 @@ import time
 from collections import deque
 
 from ..rpc.channel import merge_transport_stats
-from ..rpc.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    new_session_id,
-)
+from ..rpc.protocol import ProtocolError, new_session_id
 
 __all__ = [
     "AdmissionController",
@@ -611,7 +607,7 @@ class Session:
 
 
 def connect(address, *, name=None, worker_mode=None, compress="auto",
-            relay=False, max_version=PROTOCOL_VERSION):
+            relay=False):
     """Open a :class:`Session` against a running Ibis daemon.
 
     *address* is an :class:`~repro.distributed.daemon.IbisDaemon`
@@ -625,22 +621,13 @@ def connect(address, *, name=None, worker_mode=None, compress="auto",
 
     Raises :class:`~repro.rpc.protocol.RemoteError` when the daemon
     rejects the session (``--max-sessions`` reached) and
-    :class:`~repro.rpc.protocol.ProtocolError` against a pre-session
-    daemon.
+    :class:`~repro.rpc.protocol.ProtocolError` against a daemon
+    speaking another protocol version.
     """
     from .channel import _DaemonLink
 
     addr = _resolve_address(address)
-    link = _DaemonLink(
-        address=addr, max_version=max_version,
-        session_name=name, require_session=True,
-    )
-    if link.session_id is None:
-        link.close()
-        raise ProtocolError(
-            f"daemon at {_format_address(addr)} did not grant a "
-            "session (pre-session daemon?)"
-        )
+    link = _DaemonLink(address=addr, session_name=name)
     return Session(
         link, addr, name=name, worker_mode=worker_mode,
         compress=compress, relay=relay,

@@ -26,10 +26,8 @@ from .protocol import (
     ProtocolError,
     RemoteError,
     encode_frame_v2,
-    pack_frame,
     recv_frame,
     send_frame,
-    send_frame_v2,
 )
 from .taskgraph import FaultPolicy, TaskGraph, TaskNode
 __all__ = [
@@ -60,10 +58,8 @@ __all__ = [
     "ProtocolError",
     "RemoteError",
     "encode_frame_v2",
-    "pack_frame",
     "recv_frame",
     "send_frame",
-    "send_frame_v2",
 ]
 
 

@@ -28,10 +28,10 @@ Every channel implements ``call`` (synchronous), ``async_call``
 (returns an :class:`AsyncRequest`), ``batch`` (coalesce queued async
 calls into one multi-call frame) and ``stop``.
 
-Wire-version negotiation: socket-backed channels open with a v1-encoded
-hello frame.  A v2-capable peer acknowledges and both sides switch to
-the zero-copy v2 framing (and multi-call frames); a v1 peer answers the
-hello with an error frame and the channel transparently stays on v1.
+Socket-backed channels open every connection with the hello capability
+handshake (:func:`~repro.rpc.protocol.parse_hello`); a peer speaking
+another protocol version refuses it and the constructor raises
+:class:`~repro.rpc.protocol.ProtocolError` naming both versions.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ from .protocol import (
     RemoteError,
     WireState,
     accept_capabilities,
+    parse_hello,
     recv_frame,
     resolve_compress_offer,
     send_cancel_frame,
     send_frame,
-    send_frame_v2,
 )
 
 __all__ = [
@@ -259,7 +259,6 @@ class _BatchContext:
 #: per-channel special cases
 TRANSPORT_STAT_KEYS = (
     "channel",
-    "wire_version",
     "codec",
     "shm",
     "cancel",
@@ -279,8 +278,7 @@ def merge_transport_stats(stats_iterable):
     one aggregate (numeric keys add; descriptive keys collect the set of
     distinct values).  The session accounting surface."""
     totals = {key: 0 for key in TRANSPORT_STAT_KEYS
-              if key not in ("channel", "wire_version", "codec",
-                             "shm", "cancel")}
+              if key not in ("channel", "codec", "shm", "cancel")}
     channels = []
     codecs = set()
     shm = cancel = False
@@ -307,9 +305,6 @@ class Channel:
     #: label used by monitoring and the jungle cost model
     kind = "abstract"
 
-    #: wire protocol version in use (socket channels negotiate this)
-    wire_version = 1
-
     def __init__(self):
         self._batch_depth = 0
         self._batch_entries = []
@@ -321,7 +316,6 @@ class Channel:
         Stream channels override the values, never the shape."""
         return {
             "channel": self.kind,
-            "wire_version": self.wire_version,
             "codec": None,
             "shm": False,
             "cancel": False,
@@ -495,7 +489,7 @@ class _AutoBatchedRequest(AsyncRequest):
 class StreamChannel(Channel):
     """Shared machinery for channels speaking frames over a stream
     socket: pending-request table matched by call id in a reader
-    thread, negotiated wire version, locked frame sends, and mcall
+    thread, negotiated wire capabilities, locked frame sends, and mcall
     batch dispatch.  Subclasses provide the socket, the negotiation,
     and the frame shapes (:meth:`_call_message` /
     :meth:`_mcall_message`).
@@ -535,14 +529,6 @@ class StreamChannel(Channel):
         self._auto_thread = None
         self._rtt_ewma = None
 
-    @property
-    def wire_version(self):
-        return self._wire.version
-
-    @wire_version.setter
-    def wire_version(self, version):
-        self._wire.version = version
-
     # -- frame shapes (subclass hooks) -------------------------------------
 
     def _call_message(self, call_id, method, args, kwargs):
@@ -570,12 +556,7 @@ class StreamChannel(Channel):
 
     def _send_frame_locked(self, message):
         with self._send_lock:
-            if self.wire_version >= 2:
-                self.bytes_sent += send_frame_v2(
-                    self._sock, message, self._wire
-                )
-            else:
-                self.bytes_sent += send_frame(self._sock, message)
+            self.bytes_sent += send_frame(self._sock, message, self._wire)
             self.frames_sent += 1
 
     def _dispatch_call(self, method, args, kwargs):
@@ -690,20 +671,16 @@ class StreamChannel(Channel):
     # -- capability negotiation --------------------------------------------
 
     def _offer_capabilities(self, compress=None, compress_min=None,
-                            shm_segment_size=None, shm_min=None,
-                            cancellable=True):
+                            shm_segment_size=None, shm_min=None):
         """Build the hello capability dict (and create the shm segment
-        pair it names).  Returns None when there is nothing to offer —
-        the hello then stays byte-identical to the pre-capability one.
+        pair it names).
 
-        Cancellation is offered by default: it costs nothing on the
-        wire, and a peer that cannot honour it (plain v2, v1, the
-        daemon) simply leaves it out of the ack, downgrading
-        ``Future.cancel()`` to client-side abandon.
+        Cancellation is always offered: it costs nothing on the wire,
+        and a peer that cannot honour it (the daemon's decoded path)
+        simply leaves it out of the ack, downgrading ``Future.cancel()``
+        to client-side abandon.
         """
-        caps = {}
-        if cancellable:
-            caps["cancel"] = True
+        caps = {"cancel": True}
         offer = resolve_compress_offer(compress)
         if offer:
             caps["compress"] = offer
@@ -726,7 +703,7 @@ class StreamChannel(Channel):
             if shm_min is not None:
                 shm_caps["shm_min"] = int(shm_min)
             caps["shm"] = shm_caps
-        return caps or None
+        return caps
 
     def _apply_negotiated_caps(self):
         """Configure the wire from the peer's capability ack; anything
@@ -753,7 +730,7 @@ class StreamChannel(Channel):
                 if self._shm_min is not None:
                     self._wire.shm_min = int(self._shm_min)
             else:
-                # peer cannot (or will not) do shm: plain v2 socket
+                # peer cannot attach the segments: plain socket path
                 self._release_shm()
 
     def _release_shm(self, close=True):
@@ -776,7 +753,6 @@ class StreamChannel(Channel):
         wire = self._wire
         return {
             "channel": self.kind,
-            "wire_version": wire.version,
             "codec": wire.codec.name if wire.codec else None,
             "shm": wire.shm_active,
             "cancel": wire.cancel,
@@ -790,32 +766,26 @@ class StreamChannel(Channel):
             "shm_buffer_bytes": wire.shm_buffer_bytes,
         }
 
-    def _negotiate_hello(self, max_version, capabilities=None):
+    def _negotiate_hello(self, capabilities):
         """Hello handshake against a :func:`worker_loop` peer, run
-        before the reader thread starts.
-
-        The hello is a well-formed v1 call frame, so a v1 worker answers
-        it with an "unexpected message kind" error — which is exactly
-        the downgrade signal.  *capabilities* (codec offer, shm segment
-        names) ride the kwargs slot; pre-capability v2 peers ignore
-        that slot and ack with a bare version, downgrading every
-        capability at once.
-        """
-        self.wire_caps = {}
-        if max_version < 2:
-            return 1
-        hello_kwargs = {"caps": capabilities} if capabilities else {}
+        before the reader thread starts: offer *capabilities*, then
+        configure the wire from the ack."""
         self.bytes_sent += send_frame(
-            self._sock, ("hello", 0, max_version, (), hello_kwargs)
+            self._sock, ("hello", 0, PROTOCOL_VERSION, capabilities)
         )
         self.frames_sent += 1
         reply = recv_frame(self._sock, self._wire)
-        if reply[0] == "result":
-            ack = reply[2]
-            if isinstance(ack.get("caps"), dict):
-                self.wire_caps = ack["caps"]
-            return min(max_version, ack["version"])
-        return 1
+        if reply[0] != "result":
+            raise self._hello_refused(reply[3])
+        self.wire_caps = reply[2]["caps"]
+        self._apply_negotiated_caps()
+
+    def _hello_refused(self, reason):
+        """The error for a hello the peer answered with an error frame
+        (a protocol version mismatch names both versions)."""
+        return ProtocolError(
+            f"{self._describe()} refused the hello: {reason}"
+        )
 
     def _describe(self):
         return f"{self.kind} channel"
@@ -873,10 +843,9 @@ class StreamChannel(Channel):
         blocks on a result.  ``window=True`` adapts the window to a
         fraction of the measured round-trip time — long-haul (daemon
         WAN) links coalesce aggressively, loopback stays latency-bound
-        — while a float pins it.  Requires a v2 peer (mcall frames);
-        on a v1 connection this quietly stays off.
+        — while a float pins it.
         """
-        if self.wire_version < 2 or self._autobatch is not None:
+        if self._autobatch is not None:
             return
         self._autobatch = "adaptive" if window is True else float(window)
         self._auto_thread = threading.Thread(
@@ -991,19 +960,6 @@ class StreamChannel(Channel):
             # queued micro-batch entries predate this explicit batch:
             # flush them first so calls reach the worker in order
             self._flush_autobatch()
-        if self.wire_version < 2:
-            # v1 peers predate mcall frames: pipeline individual calls
-            requests = [
-                self._dispatch_call(method, args, kwargs)
-                for method, args, kwargs, _req in entries
-            ]
-            for (_m, _a, _k, req), sent in zip(entries, requests,
-                                               strict=True):
-                try:
-                    req._resolve(sent.result())
-                except Exception as exc:  # noqa: BLE001 - to waiter
-                    req._resolve(error=exc)
-            return
         requests = [req for _m, _a, _k, req in entries]
         call_id = self._register_pending(requests)
         self._send_frame_locked(
@@ -1072,34 +1028,39 @@ def _execute_message(interface, kind, call_id, rest):
     return ("error", call_id) + status[1:], method == "stop"
 
 
-#: bounded wait for the runner thread when a cancellable worker winds
-#: down — a call wedged past this is left to its daemon thread (the
-#: channel side escalates: warn for thread workers, kill for children)
+#: bounded wait for the runner thread when a worker winds down — a call
+#: wedged past this is left to its daemon thread (the channel side
+#: escalates: warn for thread workers, kill for children)
 _RUNNER_JOIN_S = 5.0
 
 
-def _serve_cancellable(interface, conn, wire):
-    """Serve the rest of a connection whose peer negotiated "cancel".
+def worker_loop(interface, conn):
+    """Serve RPC requests for *interface* until "stop" or disconnect.
+
+    This is the AMUSE worker main loop: the remote side of every
+    channel.  Runs in a worker thread (SocketChannel), a spawned child
+    process (SubprocessChannel, shm subprocess mode) or behind the
+    daemon's relay splice.  Understands the hello capability handshake
+    (codec offer, shm segment names, cancellation — a hello naming
+    another protocol version is answered with an error frame), plain
+    calls, multi-call batches and AMCX cancel frames; a peer that never
+    says hello is served on the plain socket path.
 
     A single-threaded loop busy inside a long ``evolve_model`` could
-    never see a cancel frame, so this mode splits the worker in two:
-    calls execute in order on a dedicated *runner* thread while THIS
-    thread keeps reading frames.  An AMCX frame is therefore
-    acknowledged promptly — the target call is dequeued if it has not
-    started, or marked abandoned if it is running (its eventual reply
-    is discarded; Python cannot interrupt it, which is exactly why the
-    RESTART fault policy exists for truly hung workers).  Everything
-    else — execution order, batching, the stop contract — matches the
-    inline loop.
+    never see a cancel frame, so the worker is split in two: calls
+    execute in order on a dedicated *runner* thread while THIS thread
+    keeps reading frames.  An AMCX frame is therefore acknowledged
+    promptly — the target call is dequeued if it has not started, or
+    marked abandoned if it is running (its eventual reply is discarded;
+    Python cannot interrupt it, which is exactly why the RESTART fault
+    policy exists for truly hung workers).
     """
+    wire = WireState()
     send_lock = threading.Lock()
 
     def reply(message):
         with send_lock:
-            if wire.version >= 2:
-                send_frame_v2(conn, message, wire)
-            else:
-                send_frame(conn, message)
+            send_frame(conn, message, wire)
 
     state = threading.Condition()
     queued = collections.deque()    # (kind, call_id, rest) or None
@@ -1191,9 +1152,24 @@ def _serve_cancellable(interface, conn, wire):
                     except OSError:
                         break
                 continue
+            if kind == "hello":
+                try:
+                    offered = parse_hello(rest)
+                except ProtocolError as exc:
+                    response = ("error", call_id, "ProtocolError",
+                                str(exc), "")
+                else:
+                    response = ("result", call_id, {
+                        "version": PROTOCOL_VERSION,
+                        "caps": accept_capabilities(
+                            offered, wire, allow_cancel=True
+                        ),
+                    })
+            else:
+                response = ("error", call_id, "ProtocolError",
+                            f"unexpected message kind {kind!r}", "")
             try:
-                reply(("error", call_id, "ProtocolError",
-                       f"unexpected message kind {kind!r}", ""))
+                reply(response)
             except OSError:
                 break
     finally:
@@ -1201,92 +1177,6 @@ def _serve_cancellable(interface, conn, wire):
             queued.append(None)
             state.notify()
         runner.join(timeout=_RUNNER_JOIN_S)
-
-
-def worker_loop(interface, conn, max_version=PROTOCOL_VERSION,
-                enable_capabilities=True):
-    """Serve RPC requests for *interface* until "stop" or disconnect.
-
-    This is the AMUSE worker main loop: the remote side of every
-    channel.  Runs in a worker thread (SocketChannel), a spawned child
-    process (SubprocessChannel, shm subprocess mode) or inside a proxy
-    process model (distributed AMUSE).  Understands plain calls,
-    multi-call batches and the version-negotiation hello; replies use
-    the negotiated wire version (*max_version* caps it, which lets
-    tests exercise a genuine v1 peer).  The hello's capability dict —
-    codec offer, shm segment names, cancellation — is honoured when
-    *enable_capabilities* is true; disabling it emulates a plain-v2
-    peer for downgrade tests.  A peer that negotiated "cancel" is
-    served by :func:`_serve_cancellable` from the hello onward (calls
-    on a runner thread, frames — including AMCX cancels — read
-    concurrently); everyone else keeps this inline loop.
-    """
-    wire = WireState()
-
-    def reply(message):
-        if wire.version >= 2:
-            send_frame_v2(conn, message, wire)
-        else:
-            send_frame(conn, message)
-
-    try:
-        while True:
-            try:
-                message = recv_frame(conn, wire)
-            except ProtocolError:
-                break
-            kind, call_id, *rest = message
-            if kind == "hello" and max_version >= 2:
-                peer_version = rest[0] if rest else 1
-                wire.version = version = min(
-                    int(peer_version), max_version
-                )
-                ack = {"version": version}
-                offered = {}
-                if (enable_capabilities and len(rest) >= 3
-                        and isinstance(rest[2], dict)):
-                    offered = rest[2].get("caps") or {}
-                if offered:
-                    ack["caps"] = accept_capabilities(
-                        offered, wire, allow_cancel=True
-                    )
-                reply(("result", call_id, ack))
-                if wire.cancel:
-                    # the peer may now send AMCX frames at any moment,
-                    # including while a call runs: hand the connection
-                    # to the two-thread serving mode for good
-                    _serve_cancellable(interface, conn, wire)
-                    break
-                continue
-            # a max_version=1 worker behaves exactly like a pre-v2 one:
-            # hello falls through to the unexpected-kind error reply
-            if kind == "mcall":
-                calls = rest[0]
-                results = [
-                    _run_one(interface, method, args, kwargs)
-                    for method, args, kwargs in calls
-                ]
-                reply(("mresult", call_id, results))
-                if any(method == "stop" for method, _a, _k in calls):
-                    break
-                continue
-            if kind != "call":
-                reply(
-                    ("error", call_id, "ProtocolError",
-                     f"unexpected message kind {kind!r}", ""),
-                )
-                continue
-            method, args, kwargs = rest
-            status = _run_one(interface, method, args, kwargs)
-            if status[0] == "ok":
-                reply(("result", call_id, status[1]))
-            else:
-                reply(("error", call_id) + status[1:])
-            if method == "stop":
-                break
-    except OSError:
-        pass        # peer vanished mid-reply; nothing left to serve
-    finally:
         # workers only ever ATTACH shm segments: close the mappings,
         # never unlink — the names belong to the channel side
         for arena in (wire.tx_arena, wire.rx_arena):
@@ -1305,21 +1195,16 @@ class SocketChannel(StreamChannel):
     back, and frames flow through the genuine kernel TCP stack — the
     loopback path whose throughput the paper quotes.  Requests may be
     pipelined: responses are matched to requests by call id in a reader
-    thread.  On connect the channel negotiates the wire version (v2 =
-    zero-copy out-of-band buffers + multi-call batching, transparent
-    fallback to v1 peers).
+    thread.  On connect the channel runs the hello capability handshake
+    with the worker.
     """
 
     kind = "sockets"
     _lost_message = "worker connection lost"
 
     def __init__(self, interface_factory, host="127.0.0.1",
-                 max_version=PROTOCOL_VERSION,
-                 worker_max_version=PROTOCOL_VERSION,
                  stop_timeout=10.0, compress=None, compress_min=None,
-                 shm_segment_size=None, shm_min=None,
-                 worker_capabilities=True, cancellable=True,
-                 autobatch=None):
+                 shm_segment_size=None, shm_min=None, autobatch=None):
         super().__init__()
         self._stop_timeout = float(stop_timeout)
         self._compress_min = compress_min
@@ -1339,10 +1224,7 @@ class SocketChannel(StreamChannel):
             worker_side.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
-            interface = interface_factory()
-            worker_loop(interface, worker_side,
-                        max_version=worker_max_version,
-                        enable_capabilities=worker_capabilities)
+            worker_loop(interface_factory(), worker_side)
 
         self._worker_thread = threading.Thread(
             target=_serve, name="sockets-worker", daemon=True
@@ -1356,14 +1238,12 @@ class SocketChannel(StreamChannel):
             caps = self._offer_capabilities(
                 compress=compress, compress_min=compress_min,
                 shm_segment_size=shm_segment_size, shm_min=shm_min,
-                cancellable=cancellable,
             )
             self._sock = socket.create_connection(self.address)
             self._sock.setsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
             )
-            self.wire_version = self._negotiate_hello(max_version, caps)
-            self._apply_negotiated_caps()
+            self._negotiate_hello(caps)
         except BaseException:
             self._release_shm()
             for sock in (self._sock, listener):

@@ -1,4 +1,4 @@
-"""Wire protocol for AMUSE worker channels (v1 + zero-copy v2).
+"""Wire protocol for AMUSE worker channels.
 
 AMUSE communicates with workers "using a channel, in an RPC-like method"
 (paper Sec. 4.1).  The loopback link between coupler and daemon is the
@@ -7,17 +7,16 @@ path the paper quotes ">8 Gbit/s even on a modest laptop" for
 framing is built to move large float64 arrays with as few copies as the
 socket API allows.
 
-Two frame layouts share one receive path (the magic distinguishes them
-per frame):
+Every frame starts with a 4-byte magic naming its layout and a 4-byte
+length; one receive path reads them all:
 
-**v1** — ``b"AMSE"`` + 4-byte payload length + one contiguous pickle-5
-payload.  Simple, but the payload is materialised twice on send (pickle
-buffer + header concatenation) and twice on receive (chunk join +
-unpickle copy).
+**AMSE** — no out-of-band buffers: ``b"AMSE"`` + payload length + one
+contiguous pickle-5 payload.  Every bufferless message (most small
+calls and replies) travels this way, at one ``sendall`` and two reads.
 
-**v2** — ``b"AMS2"`` + 4-byte descriptor-block length, then one
-descriptor block holding the buffer table and the pickle-5 *metadata*
-(the message with large buffers extracted out-of-band via
+**AMS2** — with buffers: ``b"AMS2"`` + descriptor-block length, then
+one descriptor block holding the buffer table and the pickle-5
+*metadata* (the message with large buffers extracted out-of-band via
 ``buffer_callback``), then the raw buffers back to back::
 
     <4s magic "AMS2"> <u32 block_len>
@@ -25,15 +24,14 @@ descriptor block holding the buffer table and the pickle-5 *metadata*
     <buffer bytes ...>
 
 Grouping the buffer table with the metadata keeps a small frame at two
-reads — the same syscall count as v1 — while large frames add exactly
-one ``recv_into`` per out-of-band buffer.
+reads, while large frames add exactly one ``recv_into`` per
+out-of-band buffer.
 
-Two more layouts extend v2 for connections that negotiated the matching
-capability in the hello handshake (see *Capability negotiation* below);
-both are detected per frame by magic, so capable peers may mix them
-freely with v1/v2 frames on one connection:
+Two more layouts extend AMS2 for connections that negotiated the
+matching capability in the hello (see *Hello* below); capable peers mix
+them freely with AMSE/AMS2 frames on one connection:
 
-**v2c** — ``b"AMSC"`` — per-buffer compression.  The buffer table gains
+**AMSC** — per-buffer compression.  The buffer table gains
 an encoded length next to the raw length and the block names the codec;
 each buffer above the negotiated size threshold is compressed
 individually and stored raw when compression does not shrink it
@@ -45,12 +43,12 @@ costs one compression attempt and nothing on the wire)::
            <(u64 enc_len, u64 raw_len) x nbuffers> <metadata bytes>
     <encoded buffer bytes ...>
 
-**shm** — ``b"AMSH"`` — same-host shared-memory transport.  Buffer
+**AMSH** — same-host shared-memory transport.  Buffer
 *bytes* leave the socket entirely: the sender copies each large buffer
 into a block of its :class:`~repro.rpc.shm.ShmArena` segment and the
 frame carries only ``(offset, length)`` descriptors; the receiver reads
 the block straight out of the mapped segment.  Small buffers stay
-inline (``kind 0``) so arena exhaustion degrades to the v2 wire path
+inline (``kind 0``) so arena exhaustion degrades to the socket path
 instead of failing.  Block release is piggybacked: every frame also
 carries the offsets its sender has consumed from the *peer's* arena
 since its last frame, so the request/response traffic itself recycles
@@ -63,7 +61,7 @@ the pool with zero extra round trips::
            <metadata bytes>
     <inline buffer bytes ...>
 
-**cancel** — ``b"AMCX"`` — in-flight call cancellation, the control
+**AMCX** — in-flight call cancellation, the control
 frame behind ``Future.cancel()`` and the RESTART fault policy.  A tiny
 fixed-size frame naming the call to withdraw plus its own ack id::
 
@@ -75,24 +73,23 @@ frame reporting what happened to the target: ``"dequeued"`` (the call
 had not started and never will run), ``"abandoned"`` (it is running;
 its eventual result will be discarded instead of sent) or ``"done"``
 (too late — the reply was already sent).  Because a single-threaded
-worker busy in a long call could never see the frame, a worker that
-negotiated this capability serves calls on a dedicated runner thread
-while its main thread keeps reading frames (see
-:func:`repro.rpc.channel.worker_loop`).
+worker busy in a long call could never see the frame, the worker serves
+calls on a dedicated runner thread while its main thread keeps reading
+frames (see :func:`repro.rpc.channel.worker_loop`).
 
-**Capability negotiation** rides the existing hello frame: the client's
-``("hello", 0, max_version, (), {"caps": {...}})`` may offer a codec
-preference list (``"compress"``), shared-memory segment names
-(``"shm"``) and/or in-flight cancellation (``"cancel"``); the peer's
-ack dict answers with the first offered codec it can load, ``"shm":
-True`` once it attached the named segments, and ``"cancel": True``
-when it will honour AMCX frames (only :func:`worker_loop` peers do —
-the daemon never acks it, so distributed channels degrade to
-client-side abandon).
-Peers that predate capabilities ignore the kwargs slot and answer with
-a bare version — the client then runs plain v2 — and v1 peers still
-answer the hello with an error frame, downgrading all the way.  A
-:class:`WireState` holds the negotiated outcome per connection.
+**Hello** — the capability handshake a client opens every connection
+with: ``("hello", id, PROTOCOL_VERSION, caps)``.  The server checks the
+version with :func:`parse_hello`; a mismatch is answered with an error
+frame and the client raises :class:`ProtocolError` naming both
+versions.  *caps* may offer a codec preference list (``"compress"``),
+shared-memory segment names (``"shm"``) and in-flight cancellation
+(``"cancel"``); the ack ``{"version": ..., "caps": {...}}`` answers
+with the first offered codec the server can load, ``"shm": True`` once
+it attached the named segments, and ``"cancel": True`` when it will
+honour AMCX frames (only :func:`worker_loop` does — the daemon never
+acks it, so its decoded channels degrade to client-side abandon).
+Whatever the ack leaves out stays off for that connection.  A
+:class:`WireState` holds the outcome per connection.
 
 On send the parts are handed to ``socket.sendmsg`` as a scatter-gather
 iovec — header, metadata and every array buffer go to the kernel without
@@ -101,14 +98,9 @@ into one pre-allocated ``bytearray`` and the arrays are reconstructed
 *in place* over those bytearrays (``pickle.loads(..., buffers=...)``),
 so a NumPy array crosses the wire with exactly one copy per direction.
 
-Peers negotiate the version at the channel layer (see
-``repro.rpc.channel``): a v2-capable client opens with a v1-encoded
-``("hello", 0, max_version, (), {})`` frame; a v2 peer acknowledges and
-both sides switch, a v1 peer answers with an error frame and the client
-transparently stays on v1 framing.
-
 Message shapes::
 
+    ("hello",   id, PROTOCOL_VERSION, caps_dict)
     ("call",    call_id, method_name, args_tuple, kwargs_dict)
     ("mcall",   call_id, [(method, args, kwargs), ...])   # pipelined batch
     ("result",  call_id, value)
@@ -143,11 +135,10 @@ __all__ = [
     "negotiate_codec",
     "resolve_compress_offer",
     "accept_capabilities",
+    "parse_hello",
     "new_session_id",
-    "pack_frame",
     "encode_frame_v2",
     "send_frame",
-    "send_frame_v2",
     "send_cancel_frame",
     "recv_frame",
     "relay_frame",
@@ -160,15 +151,15 @@ __all__ = [
     "CancelledError",
 ]
 
-MAGIC = b"AMSE"                       # v1 frames
-MAGIC2 = b"AMS2"                      # v2 frames (out-of-band buffers)
-MAGIC_COMPRESS = b"AMSC"              # v2 + per-buffer compression
-MAGIC_SHM = b"AMSH"                   # v2 + shared-memory buffer blocks
+MAGIC = b"AMSE"                       # no out-of-band buffers
+MAGIC2 = b"AMS2"                      # with out-of-band buffers
+MAGIC_COMPRESS = b"AMSC"              # + per-buffer compression
+MAGIC_SHM = b"AMSH"                   # + shared-memory buffer blocks
 MAGIC_CANCEL = b"AMCX"                # in-flight call cancellation
 HEADER = struct.Struct("<4sI")        # magic + payload/block length
 CANCEL_BODY = struct.Struct("<QQ")    # ack id + target call id (AMCX)
-BLOCK_COUNT = struct.Struct("<I")     # buffer count (start of v2 block)
-BUFFER_LEN = struct.Struct("<Q")      # per-buffer length (v2 table)
+BLOCK_COUNT = struct.Struct("<I")     # buffer count (start of AMS2 block)
+BUFFER_LEN = struct.Struct("<Q")      # per-buffer length (AMS2 table)
 COMPRESS_HEAD = struct.Struct("<IB")  # buffer count + codec id (AMSC)
 COMPRESS_ENTRY = struct.Struct("<QQ")  # encoded + raw length (AMSC table)
 SHM_HEAD = struct.Struct("<II")       # buffer count + freed count (AMSH)
@@ -240,7 +231,7 @@ class Codec:
 
     ``compress`` maps a readable buffer to bytes; ``decompress`` maps
     the encoded bytes plus the known raw length back to a *writable*
-    buffer (arrays are reconstructed in place over it, and the v2
+    buffer (arrays are reconstructed in place over it, and the wire
     contract is that received arrays are writable).
     """
 
@@ -349,18 +340,16 @@ def resolve_compress_offer(compress):
 class WireState:
     """The outcome of one connection's hello negotiation.
 
-    Holds the wire version, the agreed codec (if any) with its size
-    threshold, and — for shm connections — the two arena ends: this
+    Holds the agreed codec (if any) with its size threshold, and — for
+    shm connections — the two arena ends: this
     side allocates outgoing buffers from ``tx_arena`` and reads the
     peer's buffers out of ``rx_arena``.  The pending-free list collects
     the rx offsets this side has consumed; the send path drains it into
     the next outgoing frame so the peer can recycle its blocks.
     """
 
-    def __init__(self, version=1, codec=None,
-                 compress_min=COMPRESS_MIN_DEFAULT,
+    def __init__(self, codec=None, compress_min=COMPRESS_MIN_DEFAULT,
                  tx_arena=None, rx_arena=None, shm_min=SHM_MIN_DEFAULT):
-        self.version = version
         self.codec = codec
         self.compress_min = compress_min
         self.tx_arena = tx_arena
@@ -409,7 +398,7 @@ def accept_capabilities(offered, wire, allow_cancel=False):
     ack dict.  Anything unrecognised — or an shm offer whose segments
     this process cannot attach (wrong host, dead creator) — is silently
     dropped, which IS the downgrade: the client reads the ack and keeps
-    the plain v2 path for everything missing from it.
+    the plain socket path for everything missing from it.
 
     *allow_cancel* is passed True only by servers that actually honour
     AMCX frames (:func:`~repro.rpc.channel.worker_loop`); the daemon
@@ -439,6 +428,26 @@ def accept_capabilities(offered, wire, allow_cancel=False):
                 wire.shm_min = int(shm_offer["shm_min"])
             accepted["shm"] = True
     return accepted
+
+
+def parse_hello(rest):
+    """Server half of the hello: check its shape and version.
+
+    *rest* is the hello after its kind and id, ``(version, caps)``.
+    Returns the offered capability dict.  A peer speaking another
+    protocol version raises :class:`ProtocolError` naming both
+    versions; servers answer it with an error frame, which the client
+    raises in turn — there is no downgrade.
+    """
+    if len(rest) != 2 or not isinstance(rest[1], dict):
+        raise ProtocolError(f"malformed hello {rest!r}")
+    version, offered = rest
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(
+            f"protocol version mismatch: hello names version {version}, "
+            f"the server speaks version {PROTOCOL_VERSION}"
+        )
+    return offered
 
 
 def new_session_id():
@@ -473,22 +482,7 @@ def decode_payload(meta, buffers=()):
     return pickle.loads(meta, buffers=buffers)
 
 
-# -- v1 framing -------------------------------------------------------------
-
-
-def pack_frame(message):
-    """Serialise *message* into v1 header + payload bytes."""
-    payload = pickle.dumps(message, protocol=5)
-    if len(payload) > MAX_FRAME:
-        raise ProtocolError(f"frame too large: {len(payload)} bytes")
-    return HEADER.pack(MAGIC, len(payload)) + payload
-
-
-def send_frame(sock, message):
-    """Send one v1 frame; returns the byte count."""
-    data = pack_frame(message)
-    sock.sendall(data)
-    return len(data)
+# -- AMCX framing -----------------------------------------------------------
 
 
 def send_cancel_frame(sock, ack_id, target_call_id):
@@ -505,7 +499,7 @@ def send_cancel_frame(sock, ack_id, target_call_id):
     return len(data)
 
 
-# -- v2 framing -------------------------------------------------------------
+# -- send (layout chosen per frame) -----------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
@@ -514,7 +508,7 @@ def _head_struct(nbuf):
 
 
 def encode_frame_v2(message):
-    """Serialise *message* into a list of v2 frame parts (no copies).
+    """Serialise *message* into a list of AMS2 frame parts (no copies).
 
     The parts are ready for scatter-gather send: header + buffer table,
     metadata, then one raw memoryview per out-of-band buffer.
@@ -559,20 +553,19 @@ def _sendmsg_all(sock, parts):
     return total
 
 
-def send_frame_v2(sock, message, wire=None):
-    """Send one frame on a v2 connection; returns the byte count.
+def send_frame(sock, message, wire=None):
+    """Send one frame; returns the byte count.
 
     A message with no out-of-band buffers pickles to a single
-    self-contained payload, so it is emitted in v1 framing (cheapest
-    codec path; the receiver detects the version per frame) — small
-    latency-bound calls cost the same as on a v1 connection.  Messages
-    carrying buffers use the v2 layout with scatter-gather send.
+    self-contained payload and is emitted as AMSE (one ``sendall`` for
+    small, latency-bound calls).  Messages carrying buffers use the
+    AMS2 layout with scatter-gather send.
 
     A negotiated :class:`WireState` upgrades the buffer path: on an shm
     connection large buffers travel through the arena (and any frame
     with pending block releases uses shm framing so the peer's pool
     recycles); on a compressed connection buffers above the threshold
-    are compressed per-buffer.  Both degrade to the plain v2 layout
+    are compressed per-buffer.  Both degrade to the plain AMS2 layout
     frame by frame — arena full, nothing compressible — without the
     peer needing to know.
     """
@@ -603,9 +596,14 @@ def send_frame_v2(sock, message, wire=None):
     return _sendmsg_all(sock, _build_parts_v2(meta, buffers))
 
 
+#: former name, still looked up by ``benchmarks/e2e/trace.py``; remove
+#: the alias and that lookup together
+send_frame_v2 = send_frame
+
+
 def _send_frame_compressed(sock, wire, meta, buffers):
     """Emit an AMSC frame; returns None when nothing shrank (the
-    caller then falls back to the cheaper plain-v2 table)."""
+    caller then falls back to the cheaper plain AMS2 table)."""
     codec = wire.codec
     table = []
     parts = []
@@ -691,7 +689,7 @@ def _send_frame_shm(sock, wire, meta, buffers):
     )
 
 
-# -- receive (auto-detects v1/v2 per frame) ---------------------------------
+# -- receive (layout detected per frame by magic) ----------------------------
 
 
 def _recv_exact(sock, n):
@@ -1106,7 +1104,7 @@ def relay_frame(src, dst, scratch=None):
     if block_len > MAX_FRAME:
         raise ProtocolError(f"frame too large: {block_len} bytes")
     if magic == MAGIC:
-        # v1: the length IS the payload length; stream it straight through
+        # AMSE: the length IS the payload length; stream it straight through
         dst.sendall(header)
         if scratch is None:
             scratch = bytearray(RELAY_CHUNK)

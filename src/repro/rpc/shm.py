@@ -6,7 +6,7 @@ WAN-connected sites.  The sockets/subprocess channels already move
 arrays with one copy per direction, but every byte still traverses the
 kernel TCP stack.  On the same host that traversal is pure overhead —
 so ``channel_type="shm"`` keeps the socket only as a control plane and
-passes v2 out-of-band buffers through ``multiprocessing.shared_memory``
+passes out-of-band buffers through ``multiprocessing.shared_memory``
 segments instead: zero wire copies for array payloads.
 
 Mechanics (frame layout in :mod:`repro.rpc.protocol`, magic ``AMSH``):
@@ -14,15 +14,15 @@ Mechanics (frame layout in :mod:`repro.rpc.protocol`, magic ``AMSH``):
 * the channel creates TWO segments up front — one per direction — and
   offers their names in the hello capability dict; the worker (a thread
   or a spawned child process) attaches them by name and acks.  A peer
-  that cannot attach (or predates capabilities) simply doesn't ack and
-  the connection stays on the plain v2 socket path.
+  that cannot attach them (another host, a dead creator) simply doesn't
+  ack and the connection stays on the plain socket path.
 * each segment is managed by a :class:`ShmArena` — a first-fit
   free-list allocator with block coalescing, the classic ring-buffer
   compromise for variable-sized blocks.  Only the sending side
   allocates from its own arena; the receiver reports consumed offsets
   back piggybacked on its next frame, so steady request/response
   traffic recycles the pool with no extra messages.
-* an exhausted arena degrades per buffer to the inline v2 socket path —
+* an exhausted arena degrades per buffer to the inline socket path —
   backpressure can slow the channel down but never deadlock it.
 * the CHANNEL owns both segments: it unlinks them on ``stop()``, on
   connection loss (a peer that died mid-call), and on the subprocess
@@ -52,7 +52,7 @@ import threading
 from multiprocessing import shared_memory
 
 from .channel import SocketChannel, register_channel_factory
-from .protocol import PROTOCOL_VERSION, SHM_MIN_DEFAULT, ProtocolError
+from .protocol import SHM_MIN_DEFAULT, ProtocolError
 
 __all__ = [
     "DEFAULT_SEGMENT_SIZE",
@@ -241,10 +241,7 @@ def attach_peer_arenas(wire, shm_offer):
 
 def ShmChannel(interface_factory, worker_mode="thread", host="127.0.0.1",
                segment_size=DEFAULT_SEGMENT_SIZE, shm_min=SHM_MIN_DEFAULT,
-               max_version=PROTOCOL_VERSION,
-               worker_max_version=PROTOCOL_VERSION,
-               worker_capabilities=True, stop_timeout=10.0,
-               spawn_timeout=30.0, kill_timeout=5.0):
+               stop_timeout=10.0, spawn_timeout=30.0, kill_timeout=5.0):
     """Build a same-host shared-memory channel (``channel_type="shm"``).
 
     ``worker_mode="thread"`` serves the worker from an in-process
@@ -254,11 +251,8 @@ def ShmChannel(interface_factory, worker_mode="thread", host="127.0.0.1",
     loopback socket, array payloads through shared memory.
     """
     common = dict(
-        host=host, max_version=max_version,
-        worker_max_version=worker_max_version,
-        stop_timeout=stop_timeout,
+        host=host, stop_timeout=stop_timeout,
         shm_segment_size=segment_size, shm_min=shm_min,
-        worker_capabilities=worker_capabilities,
     )
     if worker_mode == "thread":
         return SocketChannel(interface_factory, **common)

@@ -12,12 +12,12 @@ serialize.  This module restores the real AMUSE process model:
   back to the spawning channel, receives the pickled interface factory
   in a bootstrap frame, instantiates the interface and hands the socket
   to the existing :func:`~repro.rpc.channel.worker_loop` — the same
-  loop, the same wire protocol (v1/v2 hello negotiation included), but
-  with its own interpreter and its own GIL.
+  loop, the same wire protocol (hello capability handshake included),
+  but with its own interpreter and its own GIL.
 * :class:`SubprocessChannel` — the coupler side: spawns the child,
   bootstraps it, and then behaves exactly like the sockets channel
-  (pipelined async calls, ``batch()`` multi-call frames, negotiated v2
-  zero-copy framing).
+  (pipelined async calls, ``batch()`` multi-call frames, zero-copy
+  out-of-band buffers).
 
 Lifecycle guarantees:
 
@@ -49,7 +49,6 @@ import warnings
 
 from .channel import StreamChannel, register_channel_factory, worker_loop
 from .protocol import (
-    PROTOCOL_VERSION,
     ConnectionLostError,
     ProtocolError,
     RemoteError,
@@ -140,12 +139,9 @@ class SubprocessChannel(StreamChannel):
     _lost_message = "subprocess worker connection lost"
 
     def __init__(self, interface_factory=None, host="127.0.0.1",
-                 max_version=PROTOCOL_VERSION,
-                 worker_max_version=PROTOCOL_VERSION,
                  spawn_timeout=30.0, stop_timeout=10.0,
                  kill_timeout=5.0, compress=None, compress_min=None,
                  shm_segment_size=None, shm_min=None,
-                 worker_capabilities=True, cancellable=True,
                  warm=False, preload=None):
         super().__init__()
         warm = warm or interface_factory is None
@@ -157,10 +153,8 @@ class SubprocessChannel(StreamChannel):
         self._spawn_timeout = float(spawn_timeout)
         self._stop_timeout = float(stop_timeout)
         self._kill_timeout = float(kill_timeout)
-        self._max_version = max_version
         self._compress_min = compress_min
         self._shm_min = shm_min
-        self._cancellable = cancellable
         self._escalated = False
         self._activated = False
         self._proc = None
@@ -200,10 +194,7 @@ class SubprocessChannel(StreamChannel):
             command = [
                 sys.executable, "-m", "repro.rpc.subproc",
                 "--connect", connect_arg,
-                "--max-version", str(int(worker_max_version)),
             ]
-            if not worker_capabilities:
-                command += ["--no-capabilities"]
             if preload:
                 command += ["--preload", ",".join(preload)]
             spec = None if interface_factory is None else \
@@ -264,12 +255,8 @@ class SubprocessChannel(StreamChannel):
             caps = self._offer_capabilities(
                 compress=compress, compress_min=compress_min,
                 shm_segment_size=shm_segment_size, shm_min=shm_min,
-                cancellable=self._cancellable,
             )
-            self.wire_version = self._negotiate_hello(
-                self._max_version, caps
-            )
-            self._apply_negotiated_caps()
+            self._negotiate_hello(caps)
             self._sock.settimeout(None)
         except BaseException as exc:
             raise self._wrap_spawn_failure(exc, None) from exc
@@ -553,15 +540,6 @@ def main(argv=None):
              "carries no factory)",
     )
     parser.add_argument(
-        "--max-version", type=int, default=PROTOCOL_VERSION,
-        help="highest wire protocol version to negotiate",
-    )
-    parser.add_argument(
-        "--no-capabilities", action="store_true",
-        help="ignore hello capability offers (emulates a plain-v2 "
-             "worker for downgrade tests)",
-    )
-    parser.add_argument(
         "--preload", default=None, metavar="MOD[,MOD...]",
         help="comma-separated modules imported before connecting back "
              "(warm-pool spawns pay import cost up front)",
@@ -616,8 +594,7 @@ def main(argv=None):
         return 1
     send_frame(conn, ("result", call_id, {"pid": os.getpid()}))
 
-    worker_loop(interface, conn, max_version=args.max_version,
-                enable_capabilities=not args.no_capabilities)
+    worker_loop(interface, conn)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Wire protocol v2 tests: out-of-band framing, negotiation, batching."""
+"""Wire protocol tests: out-of-band framing, the hello, batching."""
 
 import io
 import socket
@@ -7,20 +7,22 @@ import threading
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedChannel, IbisDaemon
+import repro.distributed.channel as distributed_channel_mod
+from repro.codes.testing import ArrayEchoInterface
+from repro.distributed import DistributedChannel, IbisDaemon, connect
 from repro.rpc import (
     PROTOCOL_VERSION,
     ProtocolError,
     RemoteError,
     SocketChannel,
     encode_frame_v2,
-    pack_frame,
+    new_channel,
     recv_frame,
     send_frame,
-    send_frame_v2,
     wait_all,
     worker_loop,
 )
+from repro.rpc import channel as channel_mod
 from repro.rpc import protocol as protocol_mod
 from repro.rpc.channel import DirectChannel
 from repro.rpc.protocol import MAGIC, MAGIC2, decode_payload, encode_payload
@@ -58,7 +60,7 @@ class _FakeSocket:
 
 def v2_round_trip(message):
     sock = _FakeSocket()
-    send_frame_v2(sock, message)
+    send_frame(sock, message)
     return recv_frame(_FakeSocket(bytes(sock.sent)))
 
 
@@ -92,12 +94,12 @@ class TestFrameV2:
 
     def test_zero_buffer_frames_use_v1_framing(self):
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 1, "plain"))
+        send_frame(sock, ("result", 1, "plain"))
         assert bytes(sock.sent[:4]) == MAGIC
 
     def test_buffered_frames_use_v2_framing(self):
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 1, np.arange(16.0)))
+        send_frame(sock, ("result", 1, np.arange(16.0)))
         assert bytes(sock.sent[:4]) == MAGIC2
         assert sock.sendmsg_calls == 1
 
@@ -133,8 +135,10 @@ class TestFrameV2:
 
     def test_v1_frames_still_decode(self):
         message = ("result", 6, {"v1": True})
-        sock = _FakeSocket(pack_frame(message))
-        assert recv_frame(sock) == message
+        sent = _FakeSocket()
+        send_frame(sent, message)
+        assert bytes(sent.sent[:4]) == MAGIC
+        assert recv_frame(_FakeSocket(bytes(sent.sent))) == message
 
     def test_frame_parts_share_memory_with_source(self):
         """The send path must not copy the array payload."""
@@ -158,7 +162,6 @@ class TestCompressedFrames:
 
     def _wire(self, compress_min=1024):
         return protocol_mod.WireState(
-            version=2,
             codec=protocol_mod.CODECS_BY_NAME["zlib"],
             compress_min=compress_min,
         )
@@ -167,7 +170,7 @@ class TestCompressedFrames:
         wire = self._wire()
         arr = np.zeros(1 << 15, dtype=np.float64)
         sock = _FakeSocket()
-        sent = send_frame_v2(sock, ("result", 1, arr), wire)
+        sent = send_frame(sock, ("result", 1, arr), wire)
         assert bytes(sock.sent[:4]) == protocol_mod.MAGIC_COMPRESS
         assert sent < arr.nbytes // 4
         out = recv_frame(_FakeSocket(bytes(sock.sent)))
@@ -179,7 +182,7 @@ class TestCompressedFrames:
         rnd = np.random.default_rng(3).random(1 << 14)
         compressible = np.zeros(1 << 14)
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 2, [rnd, compressible]), wire)
+        send_frame(sock, ("result", 2, [rnd, compressible]), wire)
         out = recv_frame(_FakeSocket(bytes(sock.sent)))
         assert np.array_equal(out[2][0], rnd)
         assert np.array_equal(out[2][1], compressible)
@@ -192,20 +195,20 @@ class TestCompressedFrames:
             0, 256, 1 << 14, dtype=np.uint8
         )
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 3, rnd), wire)
+        send_frame(sock, ("result", 3, rnd), wire)
         assert bytes(sock.sent[:4]) == MAGIC2
 
     def test_below_threshold_keeps_plain_v2_framing(self):
         wire = self._wire(compress_min=1 << 20)
         arr = np.zeros(1 << 14)
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 4, arr), wire)
+        send_frame(sock, ("result", 4, arr), wire)
         assert bytes(sock.sent[:4]) == MAGIC2
 
     def test_decompressed_arrays_are_writable(self):
         wire = self._wire()
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 5, np.zeros(1 << 15)), wire)
+        send_frame(sock, ("result", 5, np.zeros(1 << 15)), wire)
         out = recv_frame(_FakeSocket(bytes(sock.sent)))
         out[2][0] = 1.5
         assert out[2][0] == 1.5
@@ -214,7 +217,7 @@ class TestCompressedFrames:
         wire = self._wire()
         arr = np.zeros(1 << 15)
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 6, arr), wire)
+        send_frame(sock, ("result", 6, arr), wire)
         data = bytearray(sock.sent)
         # codec id sits right after the 8-byte header + 4-byte count
         data[12] = 200
@@ -233,17 +236,14 @@ class TestHelloCapabilities:
     """Mixed-capability hello at the worker_loop level: the ack dict
     mirrors exactly what the worker could honour."""
 
-    def _hello(self, caps, **worker_kwargs):
+    def _hello(self, caps):
         client, server = socket.socketpair()
         thread = threading.Thread(
             target=worker_loop, args=(_OrderedInterface(), server),
-            kwargs=worker_kwargs, daemon=True,
+            daemon=True,
         )
         thread.start()
-        send_frame(
-            client,
-            ("hello", 0, PROTOCOL_VERSION, (), {"caps": caps}),
-        )
+        send_frame(client, ("hello", 0, PROTOCOL_VERSION, caps))
         reply = recv_frame(client)
         client.close()
         return reply
@@ -256,17 +256,6 @@ class TestHelloCapabilities:
     def test_unsupported_codec_offer_is_dropped(self):
         reply = self._hello({"compress": ["middle-out"]})
         assert reply[2]["caps"] == {}
-
-    def test_capability_disabled_worker_acks_bare_version(self):
-        reply = self._hello(
-            {"compress": ["zlib"]}, enable_capabilities=False,
-        )
-        assert reply[0] == "result"
-        assert reply[2] == {"version": PROTOCOL_VERSION}
-
-    def test_v1_worker_still_answers_caps_hello_with_error(self):
-        reply = self._hello({"compress": ["zlib"]}, max_version=1)
-        assert reply[0] == "error"
 
     def test_bad_segment_names_in_shm_offer_are_dropped(self):
         reply = self._hello(
@@ -282,9 +271,12 @@ class TestOversizeRejection:
             encode_frame_v2(("result", 1, np.zeros(4096)))
 
     def test_pack_rejects_oversize_frame(self, monkeypatch):
+        # bytes pickle in-band: a bufferless (AMSE) frame
         monkeypatch.setattr(protocol_mod, "MAX_FRAME", 1024)
+        sock = _FakeSocket()
         with pytest.raises(ProtocolError, match="too large"):
-            pack_frame(("result", 1, b"y" * 4096))
+            send_frame(sock, ("result", 1, b"y" * 4096))
+        assert not sock.sent
 
     def test_recv_rejects_oversize_v1_declaration(self):
         data = protocol_mod.HEADER.pack(MAGIC, 2**31 + 5) + b"x"
@@ -299,7 +291,7 @@ class TestOversizeRejection:
     def test_recv_rejects_oversize_buffer_table(self, monkeypatch):
         arr = np.zeros(512)
         sock = _FakeSocket()
-        send_frame_v2(sock, ("result", 1, arr))
+        send_frame(sock, ("result", 1, arr))
         monkeypatch.setattr(protocol_mod, "MAX_FRAME", 1024)
         with pytest.raises(ProtocolError, match="too large"):
             recv_frame(_FakeSocket(bytes(sock.sent)))
@@ -320,56 +312,102 @@ class TestNegotiation:
             daemon=True,
         )
         thread.start()
-        send_frame(client, ("hello", 0, PROTOCOL_VERSION, (), {}))
+        send_frame(client, ("hello", 0, PROTOCOL_VERSION, {}))
         reply = recv_frame(client)
         assert reply[0] == "result"
         assert reply[2]["version"] == PROTOCOL_VERSION
         client.close()
 
-    def test_v1_worker_answers_hello_with_error(self):
-        """A pre-v2 worker sees an unknown message kind — that error IS
-        the downgrade signal."""
+    def test_other_version_hello_gets_error_frame_from_worker(self):
         client, server = socket.socketpair()
         thread = threading.Thread(
             target=worker_loop, args=(_OrderedInterface(), server),
-            kwargs={"max_version": 1}, daemon=True,
+            daemon=True,
         )
         thread.start()
-        send_frame(client, ("hello", 0, PROTOCOL_VERSION, (), {}))
-        reply = recv_frame(client)
-        assert reply[0] == "error"
-        client.close()
+        try:
+            send_frame(client, ("hello", 0, PROTOCOL_VERSION + 1, {}))
+            reply = recv_frame(client)
+            assert reply[:3] == ("error", 0, "ProtocolError")
+            assert f"version {PROTOCOL_VERSION + 1}" in reply[3]
+            assert f"version {PROTOCOL_VERSION}" in reply[3]
+        finally:
+            client.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
-    def test_socket_channel_downgrades_to_v1_worker(self):
-        with SocketChannel(
-            _OrderedInterface, worker_max_version=1
-        ) as ch:
-            assert ch.wire_version == 1
-            assert ch.call("note", "still-works") == "still-works"
+    def test_other_version_hello_gets_error_frame_from_daemon(self):
+        with IbisDaemon() as daemon:
+            client = socket.create_connection(daemon.address)
+            try:
+                send_frame(
+                    client, ("hello", 1, PROTOCOL_VERSION + 1, {})
+                )
+                reply = recv_frame(client)
+            finally:
+                client.close()
+        assert reply[:3] == ("error", 1, "ProtocolError")
+        assert f"version {PROTOCOL_VERSION + 1}" in reply[3]
+        assert f"version {PROTOCOL_VERSION}" in reply[3]
+
+    @pytest.mark.parametrize("kind", ["sockets", "subprocess"])
+    def test_channel_refuses_worker_of_other_version(self, kind,
+                                                     monkeypatch):
+        # this side speaks the next version; the worker (a thread
+        # calling parse_hello, or a child process) speaks this one
+        monkeypatch.setattr(
+            channel_mod, "PROTOCOL_VERSION", PROTOCOL_VERSION + 1
+        )
+        with pytest.raises(ProtocolError) as err:
+            new_channel(kind, ArrayEchoInterface)
+        assert f"version {PROTOCOL_VERSION + 1}" in str(err.value)
+        assert f"version {PROTOCOL_VERSION}" in str(err.value)
+
+    def test_daemon_clients_refuse_daemon_of_other_version(
+            self, monkeypatch):
+        monkeypatch.setattr(
+            distributed_channel_mod, "PROTOCOL_VERSION",
+            PROTOCOL_VERSION + 1,
+        )
+        with IbisDaemon() as daemon:
+            for construct in (
+                lambda: connect(daemon),
+                lambda: DistributedChannel(_OrderedInterface,
+                                           daemon=daemon),
+            ):
+                with pytest.raises(ProtocolError) as err:
+                    construct()
+                assert f"version {PROTOCOL_VERSION + 1}" in \
+                    str(err.value)
+                assert f"version {PROTOCOL_VERSION}" in str(err.value)
+
+    def test_hello_less_raw_call_is_answered(self):
+        client, server = socket.socketpair()
+        thread = threading.Thread(
+            target=worker_loop, args=(_OrderedInterface(), server),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            send_frame(client, ("call", 1, "note", ("raw",), {}))
+            assert recv_frame(client) == ("result", 1, "raw")
+            send_frame(client, ("call", 2, "stop", (), {}))
+            assert recv_frame(client) == ("result", 2, 0)
+        finally:
+            client.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
     def test_socket_channel_negotiates_v2(self):
         with SocketChannel(_OrderedInterface) as ch:
-            assert ch.wire_version == 2
+            assert ch.wire_caps == {"cancel": True}
             out = ch.call("echo_array", np.arange(64.0))
             assert np.array_equal(out, np.arange(64.0) * 2.0)
-
-    def test_v1_capped_client_stays_on_v1(self):
-        with SocketChannel(_OrderedInterface, max_version=1) as ch:
-            assert ch.wire_version == 1
-            assert ch.call("note", 1) == 1
-
-    def test_distributed_channel_downgrades_to_v1_daemon(self):
-        with IbisDaemon(max_version=1) as daemon:
-            ch = DistributedChannel(_OrderedInterface, daemon=daemon)
-            assert ch.wire_version == 1
-            assert ch.call("note", "ok") == "ok"
-            assert ch.echo(b"ping") == b"ping"
-            ch.stop()
 
     def test_distributed_channel_negotiates_v2(self):
         with IbisDaemon() as daemon:
             ch = DistributedChannel(_OrderedInterface, daemon=daemon)
-            assert ch.wire_version == 2
+            assert ch.session_id is not None
             arr = np.arange(4096.0)
             assert np.array_equal(ch.echo(arr), arr)
             ch.stop()
@@ -422,15 +460,6 @@ class TestBatching:
                 assert ch.call("note", "second") == "second"
             assert ch.call("get_log") == ["first", "second"]
 
-    def test_batch_on_v1_connection_falls_back(self):
-        with SocketChannel(
-            _OrderedInterface, worker_max_version=1
-        ) as ch:
-            with ch.batch():
-                reqs = [ch.async_call("note", i) for i in range(4)]
-            assert wait_all(reqs) == [0, 1, 2, 3]
-            assert ch.call("get_log") == [0, 1, 2, 3]
-
     def test_batch_on_direct_channel(self):
         ch = DirectChannel(_OrderedInterface)
         with ch.batch():
@@ -444,14 +473,6 @@ class TestBatching:
                 reqs = [ch.async_call("note", i) for i in range(6)]
             assert wait_all(reqs) == list(range(6))
             assert ch.call("get_log") == list(range(6))
-            ch.stop()
-
-    def test_batch_through_v1_daemon(self):
-        with IbisDaemon(max_version=1) as daemon:
-            ch = DistributedChannel(_OrderedInterface, daemon=daemon)
-            with ch.batch():
-                reqs = [ch.async_call("note", i) for i in range(4)]
-            assert wait_all(reqs) == [0, 1, 2, 3]
             ch.stop()
 
     def test_aborted_batch_fails_waiters(self):

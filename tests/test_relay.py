@@ -4,7 +4,7 @@ Covers the splice primitive (:func:`repro.rpc.protocol.relay_frame`),
 the ``attach_worker`` flow (end-to-end capability negotiation through
 the daemon: compression, shm arenas, AMCX cancellation), the fault
 paths (pilot SIGKILLed mid-relay, malformed/oversized spliced frames,
-no-capability pilots), FaultPolicy.RESTART of a hung remote pilot, and
+pilots that never ack cancel), FaultPolicy.RESTART of a hung remote pilot, and
 the Nagle-style adaptive micro-batching of the StreamChannel send path.
 """
 
@@ -27,7 +27,7 @@ from repro.codes.testing import (
     SleepInterface,
 )
 from repro.distributed import IbisDaemon, connect
-from repro.rpc import SocketChannel, new_channel
+from repro.rpc import SocketChannel
 from repro.rpc.channel import ConnectionLostError
 from repro.rpc.protocol import (
     HEADER,
@@ -39,7 +39,6 @@ from repro.rpc.protocol import (
     recv_frame,
     relay_frame,
     send_frame,
-    send_frame_v2,
 )
 from repro.rpc.taskgraph import FaultPolicy, TaskGraph
 from repro.units import nbody_system
@@ -72,11 +71,11 @@ class TestRelayFrame:
         try:
             payload = np.arange(1 << 18, dtype=np.float64)
             message = ("result", 7, payload)
-            wire = WireState(version=2)
+            wire = WireState()
             sent, spliced = {}, {}
             sender = threading.Thread(
                 target=lambda: sent.update(
-                    n=send_frame_v2(src_w, message, wire)
+                    n=send_frame(src_w, message, wire)
                 )
             )
             relayer = threading.Thread(
@@ -86,7 +85,7 @@ class TestRelayFrame:
             )
             sender.start()
             relayer.start()
-            out = recv_frame(dst_r, WireState(version=2))
+            out = recv_frame(dst_r, WireState())
             sender.join(timeout=10)
             relayer.join(timeout=10)
             assert spliced["n"] == sent["n"]
@@ -256,10 +255,10 @@ class TestRelayDataPlane:
             assert ch.call("scale", 2.0, 2.0) == 4.0
             ch.stop()
 
-    def test_old_daemon_degrades_to_decoded_path(self, daemon,
-                                                 monkeypatch):
-        """A daemon that never acks the relay capability (pre-relay
-        build) keeps the decoded dispatcher path, transparently."""
+    def test_missing_relay_ack_is_a_protocol_error(self, daemon,
+                                                   monkeypatch):
+        """A relay request the daemon never acks is refused, not
+        silently served on the decoded dispatcher path."""
         original = channel_mod._DaemonLink._hello_caps
 
         def without_relay(self):
@@ -271,10 +270,9 @@ class TestRelayDataPlane:
             channel_mod._DaemonLink, "_hello_caps", without_relay
         )
         with connect(daemon, relay=True) as session:
-            ch = session.code(ArrayEchoInterface, channel_type="thread")
-            assert not ch.relayed
-            assert ch.call("scale", 2.0, 3.0) == 6.0
-            ch.stop()
+            with pytest.raises(ProtocolError, match="relay"):
+                session.code(ArrayEchoInterface, channel_type="thread")
+            assert session.status()["session"]["workers"] == {}
 
     def test_relay_restart_worker_respawns_through_splice(self, daemon):
         with connect(daemon, relay=True) as session:
@@ -366,16 +364,16 @@ class TestRelayFaults:
             healthy.stop()
 
     def test_cancel_to_no_capability_pilot_degrades(self, daemon):
-        """A pilot spawned without capabilities never acks cancel: the
-        client-side abandon is all there is, and it must not wedge."""
-        with connect(daemon, relay=True) as session:
+        """A decoded daemon pilot never acks cancel (the daemon's
+        dispatcher cannot interrupt a call): the client-side abandon
+        is all there is, and it must not wedge."""
+        with connect(daemon) as session:
             ch = session.code(
                 functools.partial(SleepInterface, cost_s=1.0),
                 channel_type="subprocess",
-                channel_options={"pilot_capabilities": False,
-                                 "stop_timeout": 3.0},
+                channel_options={"stop_timeout": 3.0},
             )
-            assert ch.relayed
+            assert not ch.relayed
             assert ch.transport_stats["cancel"] is False
             fut = ch.async_call("evolve_model", 1.0)
             time.sleep(0.1)
@@ -531,17 +529,6 @@ class TestAutobatch:
             # hitting the cap flushed WITHOUT any blocking waiter
             assert [f.result(timeout=10) for f in futures] == \
                 [float(i) for i in range(_AUTOBATCH_MAX_QUEUE)]
-        finally:
-            channel.stop()
-
-    def test_v1_peer_keeps_autobatch_off(self):
-        channel = new_channel(
-            "sockets", ArrayEchoInterface, worker_max_version=1,
-            autobatch=0.01,
-        )
-        try:
-            assert channel._autobatch is None
-            assert channel.call("scale", 2.0, 2.0) == 4.0
         finally:
             channel.stop()
 

@@ -12,8 +12,8 @@ from repro.rpc import (
     RemoteError,
     SocketChannel,
     new_channel,
-    pack_frame,
     recv_frame,
+    send_frame,
     wait_all,
 )
 from repro.rpc.channel import AsyncRequest
@@ -31,6 +31,13 @@ class _FakeSocket:
 
     def recv(self, n):
         return self._rx.read(n)
+
+
+def _frame(message):
+    """The bytes :func:`send_frame` puts on the wire for *message*."""
+    sock = _FakeSocket()
+    send_frame(sock, message)
+    return bytes(sock.sent)
 
 
 class _EchoInterface:
@@ -57,16 +64,16 @@ class _EchoInterface:
 class TestProtocol:
     def test_frame_round_trip(self):
         message = ("call", 1, "method", (1, 2), {"k": "v"})
-        sock = _FakeSocket(pack_frame(message))
+        sock = _FakeSocket(_frame(message))
         assert recv_frame(sock) == message
 
     def test_bad_magic_rejected(self):
-        data = b"XXXX" + pack_frame(("result", 1, None))[4:]
+        data = b"XXXX" + _frame(("result", 1, None))[4:]
         with pytest.raises(ProtocolError):
             recv_frame(_FakeSocket(data))
 
     def test_truncated_frame(self):
-        data = pack_frame(("result", 1, None))[:-3]
+        data = _frame(("result", 1, None))[:-3]
         with pytest.raises(ProtocolError):
             recv_frame(_FakeSocket(data))
 
@@ -77,7 +84,7 @@ class TestProtocol:
     def test_large_array_payload(self):
         arr = np.arange(100000, dtype=np.float64)
         message = ("result", 2, arr)
-        out = recv_frame(_FakeSocket(pack_frame(message)))
+        out = recv_frame(_FakeSocket(_frame(message)))
         assert np.array_equal(out[2], arr)
 
     @settings(max_examples=30, deadline=None)
@@ -90,7 +97,7 @@ class TestProtocol:
     )
     def test_arbitrary_picklable_round_trip(self, payload):
         message = ("result", 1, payload)
-        assert recv_frame(_FakeSocket(pack_frame(message))) == message
+        assert recv_frame(_FakeSocket(_frame(message))) == message
 
 
 class TestAsyncRequest:

@@ -1,7 +1,8 @@
 """Multi-session daemon tests: isolation, warm pool, admission
-control, accounting, idle reaping, deprecation shims, CLI."""
+control, accounting, idle reaping, shutdown, construction, CLI."""
 
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -31,6 +32,7 @@ from repro.rpc import (
     RemoteError,
     SocketChannel,
     merge_transport_stats,
+    send_frame,
 )
 from repro.rpc.subproc import SubprocessChannel, _child_env
 from repro.units import nbody_system, units
@@ -164,12 +166,8 @@ class TestSessionLifecycle:
     def test_old_style_channels_are_isolated_sessions(self, daemon):
         # pre-session entry point: each direct channel gets its own
         # implicit single-tenant session
-        a = DistributedChannel(
-            ArrayEchoInterface, daemon=daemon, _from_session=True,
-        )
-        b = DistributedChannel(
-            ArrayEchoInterface, daemon=daemon, _from_session=True,
-        )
+        a = DistributedChannel(ArrayEchoInterface, daemon=daemon)
+        b = DistributedChannel(ArrayEchoInterface, daemon=daemon)
         try:
             assert list(
                 a._request(("list_workers",)).result()
@@ -489,52 +487,42 @@ class TestShutdownDrain:
         assert not d.running
         d.shutdown()                          # idempotent
 
+    def test_serve_survives_a_departed_client(self, monkeypatch):
+        """A reply to a client that already left (or whose socket a
+        concurrent shutdown closed) ends the serve loop quietly — it
+        must not kill the thread with an unhandled OSError."""
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        daemon = IbisDaemon()
+        client, server_end = socket.socketpair()
+        send_frame(client, ("status", 1))
+        client.close()
+        serve = threading.Thread(target=daemon._serve, args=(server_end,))
+        serve.start()
+        serve.join(timeout=10)
+        assert not serve.is_alive()
+        assert crashes == []
 
-# -- deprecation shims -------------------------------------------------------
+
+# -- construction -------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    def test_direct_construction_warns_exactly_once(self, daemon):
-        channel_mod._DEPRECATION_SEEN.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            a = DistributedChannel(
-                ArrayEchoInterface, daemon=daemon
-            )
-            b = DistributedChannel(
-                ArrayEchoInterface, daemon=daemon
-            )
-        a.stop()
-        b.stop()
-        messages = [
-            str(w.message) for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(messages) == 1
-        assert "connect()" in messages[0]
+    """No entry point warns: a direct DistributedChannel is the plain
+    low-level constructor ``Session.code`` itself calls."""
 
-    def test_daemon_host_port_kwargs_warn_and_work(self, daemon):
-        channel_mod._DEPRECATION_SEEN.clear()
-        host, port = daemon.address
+    def test_direct_construction_does_not_warn(self, daemon):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ch = DistributedChannel(
-                ArrayEchoInterface, daemon_host=host,
-                daemon_port=port,
-            )
-        try:
+            ch = DistributedChannel(ArrayEchoInterface, daemon=daemon)
             assert ch.call("scale", 2.0, 4.0) == 8.0
-        finally:
             ch.stop()
-        kwarg_warns = [
+        assert not [
             w for w in caught
             if issubclass(w.category, DeprecationWarning)
-            and "daemon_host" in str(w.message)
         ]
-        assert len(kwarg_warns) == 1
 
     def test_session_path_does_not_warn(self, daemon):
-        channel_mod._DEPRECATION_SEEN.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with connect(daemon) as session:

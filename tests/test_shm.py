@@ -4,8 +4,8 @@ per-buffer compression.
 Covers the :class:`~repro.rpc.shm.ShmArena` free-list allocator, the
 shm channel in both worker modes (thread and subprocess), graceful
 degradation when the arena is exhausted, the hello capability
-negotiation matrix (v2+caps vs plain-v2 vs v1 peers, unattachable
-segments), segment lifecycle (no leaked ``/dev/shm`` entries after
+negotiation matrix (unattachable segments, no common codec, unknown
+capabilities), segment lifecycle (no leaked ``/dev/shm`` entries after
 stop, peer death, or terminate/kill escalation), compression
 negotiation and thresholds, the daemon's shm pilot mode and the
 ``new_channel`` kwarg validation over the new options.
@@ -28,6 +28,7 @@ from repro.codes.testing import (
 from repro.distributed import DistributedChannel, IbisDaemon
 from repro.rpc import ConnectionLostError, ProtocolError, new_channel
 from repro.rpc import protocol as protocol_mod
+from repro.rpc.channel import StreamChannel
 from repro.rpc.protocol import WireState, accept_capabilities
 from repro.rpc.shm import ShmArena, ShmChannel
 from repro.rpc.subproc import SubprocessChannel
@@ -155,7 +156,6 @@ def shm_channel(request):
 
 class TestShmChannel:
     def test_negotiates_shm(self, shm_channel):
-        assert shm_channel.wire_version == 2
         assert shm_channel.wire_caps.get("shm") is True
         assert shm_channel.transport_stats["shm"]
 
@@ -258,80 +258,83 @@ class TestShmChannel:
             ShmChannel(ArrayEchoInterface, worker_mode="carrier-pigeon")
 
 
-class TestCapabilityNegotiation:
-    """The mixed-version / mixed-capability hello matrix."""
+def _refuse_attach(*_args, **_kwargs):
+    raise FileNotFoundError("segments live on another host")
 
-    def test_plain_v2_thread_peer_downgrades_cleanly(self):
-        ch = new_channel(
-            "shm", ArrayEchoInterface, worker_capabilities=False,
+
+def _offer_missing_segments(monkeypatch):
+    """Offer segment names the peer cannot find — what a worker on
+    another host sees — while this side still creates (and must
+    release) the real pair."""
+    original = StreamChannel._offer_capabilities
+
+    def offer(self, *args, **kwargs):
+        caps = original(self, *args, **kwargs)
+        if "shm" in caps:
+            caps["shm"] = dict(caps["shm"], c2w="psm_gone_a",
+                               w2c="psm_gone_b")
+        return caps
+
+    monkeypatch.setattr(StreamChannel, "_offer_capabilities", offer)
+
+
+class TestCapabilityNegotiation:
+    """The hello downgrades that happen on real deployments: segments
+    the peer cannot attach, no common codec."""
+
+    def test_plain_v2_thread_peer_downgrades_cleanly(self, monkeypatch):
+        # the in-process worker cannot attach the offered segments
+        monkeypatch.setattr(
+            "repro.rpc.shm.attach_peer_arenas", _refuse_attach
         )
+        before_names = set(os.listdir("/dev/shm"))
+        ch = new_channel("shm", ArrayEchoInterface)
         try:
-            assert ch.wire_version == 2
-            assert ch.wire_caps == {}
+            assert "shm" not in ch.wire_caps
             assert ch._shm_arenas is None     # segments released
-            array = np.arange(1 << 17, dtype=np.float64)
+            assert set(os.listdir("/dev/shm")) <= before_names
+            array = np.arange(1 << 17, dtype=np.float64)   # 1 MiB
             assert np.array_equal(ch.call("echo", array), array)
             assert ch.transport_stats["shm_buffer_bytes"] == 0
+            assert ch.transport_stats["wire_buffer_bytes"] >= \
+                array.nbytes
         finally:
             ch.stop()
 
-    def test_plain_v2_subprocess_peer_downgrades_cleanly(self):
+    def test_plain_v2_subprocess_peer_downgrades_cleanly(
+            self, monkeypatch):
+        _offer_missing_segments(monkeypatch)
         ch = new_channel(
             "shm", ArrayEchoInterface, worker_mode="subprocess",
-            worker_capabilities=False,
         )
         try:
-            assert ch.wire_version == 2
-            assert ch.wire_caps == {}
+            assert "shm" not in ch.wire_caps
+            assert ch._shm_arenas is None
             array = np.arange(1 << 17, dtype=np.float64)
             assert np.array_equal(ch.call("echo", array), array)
         finally:
             ch.stop()
 
-    def test_v1_peer_downgrades_everything(self):
-        ch = new_channel(
-            "shm", ArrayEchoInterface, worker_max_version=1,
+    def test_compression_offer_against_plain_v2_peer(self, monkeypatch):
+        # the worker can load none of the offered codecs
+        monkeypatch.setattr(
+            protocol_mod, "negotiate_codec", lambda offered: None
         )
+        ch = new_channel("sockets", ArrayEchoInterface, compress=True)
         try:
-            assert ch.wire_version == 1
-            assert ch.wire_caps == {}
-            assert ch._shm_arenas is None
-            array = np.arange(1 << 14, dtype=np.float64)
-            assert np.array_equal(ch.call("echo", array), array)
-        finally:
-            ch.stop()
-
-    def test_compression_offer_against_plain_v2_peer(self):
-        ch = new_channel(
-            "sockets", ArrayEchoInterface, compress=True,
-            worker_capabilities=False,
-        )
-        try:
-            assert ch.wire_version == 2
+            assert "compress" not in ch.wire_caps
             assert ch.transport_stats["codec"] is None
             comp = np.zeros(1 << 16)
             assert np.array_equal(ch.call("echo", comp), comp)
         finally:
             ch.stop()
 
-    def test_compression_offer_against_v1_peer(self):
-        ch = new_channel(
-            "sockets", ArrayEchoInterface, compress=True,
-            worker_max_version=1,
+    def test_downgraded_offer_leaves_no_segments(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.rpc.shm.attach_peer_arenas", _refuse_attach
         )
-        try:
-            assert ch.wire_version == 1
-            assert ch.transport_stats["codec"] is None
-            comp = np.zeros(1 << 16)
-            assert np.array_equal(ch.call("echo", comp), comp)
-        finally:
-            ch.stop()
-
-    def test_downgraded_offer_leaves_no_segments(self):
         before_names = set(os.listdir("/dev/shm"))
-        ch = new_channel(
-            "shm", ArrayEchoInterface, worker_capabilities=False,
-        )
+        ch = new_channel("shm", ArrayEchoInterface)
         ch.stop()
         assert set(os.listdir("/dev/shm")) <= before_names
 
@@ -450,20 +453,6 @@ class TestCompression:
             finally:
                 wan.stop()
                 local.stop()
-
-    def test_compression_offer_against_v1_daemon(self):
-        with IbisDaemon(max_version=1) as daemon:
-            ch = DistributedChannel(
-                ArrayEchoInterface, daemon=daemon,
-                resource="DAS-4 (VU)",
-            )
-            try:
-                assert ch.wire_version == 1
-                assert ch.transport_stats["codec"] is None
-                array = np.arange(1 << 14, dtype=np.float64)
-                assert np.array_equal(ch.echo(array), array)
-            finally:
-                ch.stop()
 
     def test_unknown_codec_name_rejected_eagerly(self):
         with pytest.raises(ValueError, match="not available"):

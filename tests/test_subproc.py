@@ -1,7 +1,7 @@
 """Tests for the subprocess channel and channel-lifecycle fixes.
 
-Covers the true off-process worker path (spawn, bootstrap, negotiated
-wire versions, pipelining/batching), the worker-death fault paths
+Covers the true off-process worker path (spawn, bootstrap, the hello
+handshake, pipelining/batching), the worker-death fault paths
 (killed child, crashing worker, failing constructor — all surfacing as
 :class:`ConnectionLostError` with the child's exit code and stderr
 tail, never a hang), the daemon's subprocess pilot mode, and the three
@@ -70,18 +70,7 @@ class TestSubprocessChannel:
         assert channel.call("get_model_time") == 0.5
 
     def test_wire_v2_negotiated(self, channel):
-        assert channel.wire_version == 2
-
-    def test_v1_worker_downgrades(self):
-        ch = SubprocessChannel(
-            _sleep_factory(), worker_max_version=1, **FAST
-        )
-        try:
-            assert ch.wire_version == 1
-            ch.call("evolve_model", 1.0)
-            assert ch.call("get_model_time") == 1.0
-        finally:
-            ch.stop()
+        assert channel.wire_caps == {"cancel": True}
 
     def test_pipelined_async_calls(self, channel):
         reqs = [
@@ -301,19 +290,17 @@ class TestChannelKwargValidation:
     naming the channel type and keyword, not a bare TypeError."""
 
     def test_mpi_rejects_sockets_only_kwargs(self):
-        with pytest.raises(ValueError, match="'mpi'.*worker_max_version"):
-            new_channel("mpi", SleepInterface, worker_max_version=1)
+        with pytest.raises(ValueError, match="'mpi'.*stop_timeout"):
+            new_channel("mpi", SleepInterface, stop_timeout=1.0)
 
     def test_error_lists_valid_options(self):
         with pytest.raises(ValueError, match="valid options"):
             new_channel("direct", SleepInterface, bogus=1)
 
     def test_valid_kwargs_still_accepted(self):
-        ch = new_channel(
-            "sockets", SleepInterface, worker_max_version=1
-        )
+        ch = new_channel("sockets", SleepInterface, stop_timeout=5.0)
         try:
-            assert ch.wire_version == 1
+            assert ch._stop_timeout == 5.0
         finally:
             ch.stop()
 

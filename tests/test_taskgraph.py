@@ -12,6 +12,7 @@ with parameters and unit-converted state replayed, and the graph
 resumes to completion.
 """
 
+import functools
 import os
 import signal
 import socket
@@ -26,6 +27,7 @@ from repro.codes.base import CodeStateError
 from repro.codes.group import EvolveGroup
 from repro.codes.testing import SleepCode, SleepInterface
 from repro.coupling import Bridge, CouplingField
+from repro.distributed import DistributedChannel, IbisDaemon
 from repro.ic import new_plummer_model
 from repro.rpc import (
     CancelledError,
@@ -38,11 +40,11 @@ from repro.rpc import (
 )
 from repro.rpc.channel import worker_loop
 from repro.rpc.protocol import (
+    PROTOCOL_VERSION,
     WireState,
     recv_frame,
     send_cancel_frame,
     send_frame,
-    send_frame_v2,
 )
 from repro.units import nbody_system, units
 
@@ -335,9 +337,11 @@ class TestCancelUnderFire:
         code.shutdown()
 
     def test_plain_v2_peer_degrades_to_client_side_abandon(self):
-        channel = new_channel(
-            "sockets", lambda: SleepInterface(cost_s=0.3),
-            worker_capabilities=False,
+        # a decoded daemon pilot: the daemon never acks cancel
+        daemon = IbisDaemon()
+        daemon.start()
+        channel = DistributedChannel(
+            functools.partial(SleepInterface, cost_s=0.3), daemon=daemon,
         )
         try:
             assert "cancel" not in channel.wire_caps
@@ -352,21 +356,7 @@ class TestCancelUnderFire:
             assert channel.call("get_model_time") in (0.0, 1.0)
         finally:
             channel.stop()
-
-    def test_v1_peer_degrades_to_client_side_abandon(self):
-        channel = new_channel(
-            "sockets", lambda: SleepInterface(cost_s=0.2),
-            worker_max_version=1,
-        )
-        try:
-            assert channel.wire_version == 1
-            channel.call("ensure_state", "RUN")
-            request = channel.async_call("evolve_model", 1.0)
-            assert request.cancel()
-            with pytest.raises(CancelledError):
-                request.result(timeout=5)
-        finally:
-            channel.stop()
+            daemon.shutdown()
 
     def test_batched_call_cancel_before_flush(self):
         channel = new_channel(
@@ -426,8 +416,8 @@ class TestCancelOvertakesCall:
             target=worker_loop, args=(interface, server), daemon=True
         )
         thread.start()
-        wire = WireState(version=2)
-        send_frame(client, ("hello", 0, 2, (), {"caps": {"cancel": True}}))
+        wire = WireState()
+        send_frame(client, ("hello", 0, PROTOCOL_VERSION, {"cancel": True}))
         ack = recv_frame(client, wire)
         assert ack[2]["caps"]["cancel"] is True
         return client, server, thread, wire
@@ -451,15 +441,15 @@ class TestCancelOvertakesCall:
             assert ack == ("result", 100, {"cancelled": 7,
                                            "state": "done"})
             # the overtaken call frame lands: dropped, not executed
-            send_frame_v2(client, ("call", 7, "ping", (), {}), wire)
+            send_frame(client, ("call", 7, "ping", (), {}), wire)
             reply = recv_frame(client, wire)
             assert reply[:3] == ("error", 7, "CancelledError")
             assert calls == []
             # the tombstone is consumed; fresh ids run normally
-            send_frame_v2(client, ("call", 8, "ping", (), {}), wire)
+            send_frame(client, ("call", 8, "ping", (), {}), wire)
             assert recv_frame(client, wire) == ("result", 8, "pong")
             assert calls == ["ping"]
-            send_frame_v2(client, ("call", 9, "stop", (), {}), wire)
+            send_frame(client, ("call", 9, "stop", (), {}), wire)
             assert recv_frame(client, wire)[0] == "result"
             thread.join(timeout=5)
             assert not thread.is_alive()
@@ -482,10 +472,10 @@ class TestCancelOvertakesCall:
                 assert recv_frame(client, wire)[2]["state"] == "done"
             # an id aged out of the tombstone window would execute if
             # its frame arrived now — but recent ones still must not
-            send_frame_v2(client, ("call", 199, "stop", (), {}), wire)
+            send_frame(client, ("call", 199, "stop", (), {}), wire)
             reply = recv_frame(client, wire)
             assert reply[:3] == ("error", 199, "CancelledError")
-            send_frame_v2(client, ("call", 500, "stop", (), {}), wire)
+            send_frame(client, ("call", 500, "stop", (), {}), wire)
             assert recv_frame(client, wire)[0] == "result"
             thread.join(timeout=5)
         finally:
