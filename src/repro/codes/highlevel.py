@@ -21,6 +21,30 @@ concurrently", Sec. 5).  Illegal overlaps (a second evolve, particle
 edits or ``stop`` while an evolve future is outstanding) raise
 :class:`~repro.codes.base.CodeStateError` eagerly in the caller.
 
+**Each code's remote surface is a table.**  A wrapper declares what
+its worker exposes as rows, and one factory per row kind derives the
+remote operations from them — both call forms, the state guard and the
+unit conversion — the way AMUSE generates its channel-side stubs from a
+specified interface (paper Sec. 4):
+
+* ``_STATE_ATTRS`` — the particle columns, as (worker getter, worker
+  setter, mirror attribute, code unit) in the order the worker's
+  ``new_particle`` takes them.  ``add_particles``, ``pull_state``,
+  ``push_state`` and the RESTART replay of ``restart_worker`` all walk
+  it.
+* ``name = _query(method, unit)`` — a worker call whose result is
+  converted to script units at join time (energies, potentials, the
+  bridge field queries, the model clock).  Refused on a stopped code.
+* ``name = _mutation(name, method, unit)`` — a worker call that writes
+  particle state with one converted argument (kicks, mass pushes,
+  energy injection).  A transition: refused on a stopped code or while
+  an evolve is in flight.
+
+To expose another worker call, add a row — a column, a ``_query`` or a
+``_mutation`` line in the class body — not a method.  Hand-written
+remote methods are kept for calls with logic of their own: the evolve
+with its mirror refresh, and the batched state sync.
+
 Blocking usage (unchanged from the classic API)::
 
     conv = nbody_system.nbody_to_si(1000 | units.MSun, 1 | units.parsec)
@@ -78,46 +102,104 @@ __all__ = [
 ]
 
 
-class _ParametersProxy:
-    """Attribute-style access to worker parameters over the channel.
+def _query(method, unit, ids=False, field=False):
+    """Row factory for a converted query: worker *method* — called
+    with this code's particle ids when *ids*, or as a bridge field
+    evaluation ``(eps, points, sources=None)`` when *field* — whose
+    result is converted from *unit* (a unit, or the name of the code
+    attribute holding it) to script units at join time."""
+    if field:
+        def launch(self, eps, points, sources=None):
+            return self._field_query(method, unit, eps, points, sources)
+    else:
+        def launch(self):
+            self._require_open(method)
+            code_unit = getattr(self, unit) if isinstance(unit, str) \
+                else unit
+            return QuantityFuture(
+                self.channel.async_call(
+                    method, *((self._ids,) if ids else ())
+                ),
+                transform=lambda value: self._from_code(value, code_unit),
+                description=f"{type(self).__name__}.{method}",
+            )
+    launch.__name__ = method
+    launch.__doc__ = f"Worker ``{method}``, in script units."
+    return remote_method(launch)
 
-    *on_set* (when given) records every successful parameter write —
-    the replay cache :meth:`CommunityCode.restart_worker` pushes onto a
-    respawned worker.
+
+def _mutation(name, method, unit, mirror=None, subset=False):
+    """Row factory for the mutation *name*: worker *method* applied to
+    this code's particles — with *subset*, to those at the mirror
+    indices given as the first argument — with one value converted to
+    *unit*: the caller's, or the mirror attribute *mirror*.  It is a
+    transition, so it is refused while another one is in flight and
+    blocks new ones until its future is joined; a code without
+    particles sends nothing."""
+
+    def launch(self, *args):
+        if not len(self._ids):
+            self._require_edit(name)
+            return Future.completed(None)
+
+        def call():
+            ids = self._ids
+            rest = args
+            if subset:
+                indices, *rest = args
+                ids = ids[np.asarray(indices, dtype=np.intp)]
+            (value,) = rest if mirror is None else \
+                (getattr(self.particles, mirror),)
+            return self.channel.async_call(
+                method, ids, self._to_code(value, unit)
+            )
+
+        return self._transition(name, call, transform=lambda _v: None)
+
+    launch.__name__ = name
+    launch.__doc__ = f"Worker ``{method}`` on this code's particles."
+    return remote_method(launch)
+
+
+class _ParametersProxy:
+    """Attribute-style access to the worker parameters of *code*.
+
+    Every successful write is recorded in the code's replay cache,
+    which :meth:`CommunityCode.restart_worker` pushes onto a respawned
+    worker.  Like every other remote access, it is refused with
+    :class:`CodeStateError` once the code is stopped.
     """
 
-    def __init__(self, channel, names, inflight=None, on_set=None):
-        object.__setattr__(self, "_channel", channel)
+    def __init__(self, code, names):
+        object.__setattr__(self, "_code", code)
         object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_inflight", inflight)
-        object.__setattr__(self, "_on_set", on_set)
+
+    def _channel_for(self, name, action):
+        if name not in self._names:
+            raise AttributeError(
+                f"unknown parameter {name!r}; valid: {sorted(self._names)}"
+            )
+        self._code._require_open(f"{action} parameter {name}")
+        return self._code.channel
 
     def __getattr__(self, name):
-        if name not in self._names:
-            raise AttributeError(
-                f"unknown parameter {name!r}; valid: {sorted(self._names)}"
-            )
-        return self._channel.call("get_parameter", name)
+        return self._channel_for(name, "read").call("get_parameter", name)
 
     def __setattr__(self, name, value):
-        if name not in self._names:
-            raise AttributeError(
-                f"unknown parameter {name!r}; valid: {sorted(self._names)}"
-            )
-        if self._inflight is not None:
-            self._inflight.require_idle(f"set parameter {name}")
-        self._channel.call("set_parameter", name, value)
-        if self._on_set is not None:
-            self._on_set(name, value)
+        channel = self._channel_for(name, "set")
+        self._code._inflight.require_idle(f"set parameter {name}")
+        channel.call("set_parameter", name, value)
+        self._code._parameter_cache[name] = value
 
     def __repr__(self):
+        self._code._require_open("read parameters")
+        channel = self._code.channel
         # ONE batched frame for the full table, not a round trip per
         # parameter
         names = sorted(self._names)
-        with self._channel.batch():
+        with channel.batch():
             requests = [
-                self._channel.async_call("get_parameter", name)
-                for name in names
+                channel.async_call("get_parameter", name) for name in names
             ]
         values = wait_all(requests)
         pairs = ", ".join(
@@ -146,6 +228,10 @@ class CommunityCode:
     """
 
     INTERFACE = None
+    _TIME_UNIT = nbody_system.time
+    #: the particle columns (see the module docstring); a code without
+    #: particles has none
+    _STATE_ATTRS = ()
 
     def __init__(self, convert_nbody=None, channel_type="direct",
                  channel_options=None, session=None, **parameters):
@@ -162,15 +248,15 @@ class CommunityCode:
                 None if channel_type == "direct" else channel_type,
                 channel_options,
             )
-        # partial (not a closure) so the ibis channel can pickle the
-        # factory across the daemon's loopback socket
-        factory = functools.partial(interface_cls, **parameters)
-
         # retained so restart_worker can respawn through the same
-        # factory (the FaultPolicy.RESTART primitive)
+        # factory (the FaultPolicy.RESTART primitive); a partial (not a
+        # closure) so the ibis channel can pickle it across the
+        # daemon's loopback socket
         self._channel_type = channel_type
         self._channel_options = dict(channel_options or {})
-        self._interface_factory = factory
+        self._interface_factory = functools.partial(
+            interface_cls, **parameters
+        )
         #: parameters set through the proxy, in write order — replayed
         #: verbatim onto a respawned worker
         self._parameter_cache = {}
@@ -178,22 +264,23 @@ class CommunityCode:
         #: evolve — restored on restart so the replay resumes, not
         #: re-integrates
         self._model_time_code = 0.0
-
-        self.channel = new_channel(
-            channel_type, factory, **self._channel_options
-        )
+        self._open_channel()
         self.converter = convert_nbody
         self._inflight = InflightTracker(type(self).__name__)
-        self.parameters = _ParametersProxy(
-            self.channel, self.channel.call("parameter_names"),
-            self._inflight, on_set=self._record_parameter,
-        )
         self.particles = Particles(0)
         self._ids = np.empty(0, dtype=np.int64)
         self._stopped = False
 
-    def _record_parameter(self, name, value):
-        self._parameter_cache[name] = value
+    def _open_channel(self):
+        """Start a worker through the retained factory, and the
+        parameters proxy over it."""
+        self.channel = new_channel(
+            self._channel_type, self._interface_factory,
+            **self._channel_options,
+        )
+        self.parameters = _ParametersProxy(
+            self, self.channel.call("parameter_names")
+        )
 
     # -- unit plumbing -------------------------------------------------------
 
@@ -227,56 +314,31 @@ class CommunityCode:
 
     # -- evolution (the async-first core) ------------------------------------
 
-    def _begin_transition(self, name):
-        """Mark a mutating async operation in flight.  Every mutating
-        remote method registers here, so ANY ordering of overlapping
-        mutations (evolve-then-kick or kick-then-evolve) raises
-        :class:`CodeStateError` eagerly instead of letting a late join
-        clobber the worker state."""
+    def _transition(self, name, launch, transform=None):
+        """Run the mutating async operation *name*: mark it in flight,
+        issue its channel calls with *launch* (one request, or a list
+        of them), and return the future that retires it at join time
+        whatever the outcome.
+
+        Every mutating remote method goes through here, so ANY ordering
+        of overlapping mutations (evolve-then-kick or kick-then-evolve)
+        raises :class:`CodeStateError` eagerly instead of letting a late
+        join clobber the worker state.  A launch that raises retires the
+        transition at once, so a failed send can never brick the
+        tracker."""
         self._require_open(name)
         self._inflight.begin(name)
-
-    def _transition_future(self, name, request=None, requests=None,
-                           transform=None):
-        """Future for an in-flight transition: retires it at join time
-        whatever the outcome."""
+        try:
+            issued = launch()
+        except BaseException:
+            self._inflight.finish(name)
+            raise
+        multi = isinstance(issued, list)
         return Future(
-            request=request, requests=requests, transform=transform,
+            request=None if multi else issued,
+            requests=issued if multi else None, transform=transform,
             cleanup=lambda: self._inflight.finish(name),
             description=f"{type(self).__name__}.{name}",
-        )
-
-    def _abort_transition(self, name):
-        self._inflight.finish(name)
-
-    def _launch_guarded(self, name, launch):
-        """Run *launch* (which issues the channel calls for an already-
-        begun transition); abort the transition if the launch itself
-        raises, so a failed send can never brick the tracker."""
-        try:
-            return launch()
-        except BaseException:
-            self._abort_transition(name)
-            raise
-
-    def _launch_evolve(self, t_code):
-        """Issue the evolve, mark the transition in flight, and return
-        a future that refreshes the mirror at join time."""
-        self._begin_transition("evolve_model")
-        request = self._launch_guarded(
-            "evolve_model",
-            lambda: self.channel.async_call(
-                "evolve_model", float(t_code)
-            ),
-        )
-
-        def _join(value):
-            self.pull_state()
-            self._model_time_code = float(t_code)
-            return value
-
-        return self._transition_future(
-            "evolve_model", request, transform=_join
         )
 
     @remote_method
@@ -287,28 +349,86 @@ class CommunityCode:
         worker advances in the background and the mirror refresh (plus
         unit conversion) runs when the future is joined.
         """
-        return self._launch_evolve(
-            self._to_code(end_time, self._TIME_UNIT)
+        t_code = self._to_code(end_time, self._TIME_UNIT)
+
+        def _join(value):
+            self.pull_state()
+            self._model_time_code = float(t_code)
+            return value
+
+        return self._transition(
+            "evolve_model",
+            lambda: self.channel.async_call("evolve_model", float(t_code)),
+            transform=_join,
         )
+
+    # -- particles -----------------------------------------------------------
+
+    def _upload(self, particles):
+        """One ``new_particle`` call carrying every ``_STATE_ATTRS``
+        column of *particles* in code units (a vector column as one
+        argument per component); returns the worker's ids for them and
+        the converted columns."""
+        columns = [
+            self._to_code(getattr(particles, attr), unit)
+            for _getter, _setter, attr, unit in self._STATE_ATTRS
+        ]
+        ids = self.channel.call("new_particle", *(
+            component for column in columns
+            for component in (column.T if np.ndim(column) == 2
+                              else (column,))
+        ))
+        return np.asarray(ids, dtype=np.int64), columns
+
+    def add_particles(self, particles):
+        """Register script particles with the worker; returns the local
+        mirror.  The mirror holds what the worker holds: each column
+        converted to code units and back."""
+        self._require_edit("add_particles")
+        ids, columns = self._upload(particles)
+        mirror = Particles(keys=np.asarray(particles.key))
+        for (_getter, _setter, attr, unit), column in zip(
+                self._STATE_ATTRS, columns, strict=True):
+            setattr(mirror, attr, self._from_code(column, unit))
+        self.particles.add_particles(mirror)
+        self._ids = np.concatenate([self._ids, ids])
+        return self.particles
 
     @remote_method
     def pull_state(self):
-        """Refresh the local mirror from the worker (no-op by default;
-        subclasses fetch their attribute sets in one batched frame)."""
+        """Refresh the local mirror from the worker.
+
+        One batched frame fetches every attribute in ``_STATE_ATTRS``
+        per sync instead of one frame per attribute; the async form
+        applies the values (and unit conversion) at join time.
+        """
         self._require_open("pull_state")
-        return Future.completed(
-            self.particles,
+        if not len(self._ids):
+            return Future.completed(
+                self.particles,
+                description=f"{type(self).__name__}.pull_state",
+            )
+        with self.channel.batch():
+            requests = [
+                self.channel.async_call(getter, self._ids)
+                for getter, _setter, _attr, _unit in self._STATE_ATTRS
+            ]
+
+        def _apply(values):
+            for (_getter, _setter, attr, unit), value in zip(
+                    self._STATE_ATTRS, values, strict=True):
+                setattr(self.particles, attr, self._from_code(value, unit))
+            return self.particles
+
+        return Future(
+            requests=requests, transform=_apply,
             description=f"{type(self).__name__}.pull_state",
         )
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def model_time(self):
-        self._require_open("read model_time")
-        return self._from_code(
-            self.channel.call("get_model_time"), self._TIME_UNIT
-        )
+    get_model_time = _query("get_model_time", "_TIME_UNIT")
+    model_time = property(get_model_time)
 
     @property
     def stopped(self):
@@ -359,12 +479,14 @@ class CommunityCode:
 
         The dead (or hung) channel is force-closed, the in-flight
         tracker resynchronized, a fresh worker spawned with the same
-        channel type/options, every parameter ever set through the
-        proxy replayed in write order, and the subclass's
-        :meth:`_replay_state` hook re-uploads the particle mirror and
-        restores the model clock.  The code is usable immediately —
-        typically relaunched by
-        :meth:`~repro.rpc.taskgraph.TaskGraph.run` resuming its graph.
+        channel type/options, and every parameter ever set through the
+        proxy replayed in write order.  The particle mirror is then
+        re-uploaded column by column (converted back to code units
+        exactly like the original upload; the worker assigns new ids,
+        the mirror keeps its keys) and committed, and the model clock
+        restored.  The code is usable immediately — typically
+        relaunched by :meth:`~repro.rpc.taskgraph.TaskGraph.run`
+        resuming its graph.
         """
         try:
             self.channel.stop()
@@ -374,29 +496,15 @@ class CommunityCode:
             # stop; respawning is the whole point
             pass
         self._inflight.resync()
-        self.channel = new_channel(
-            self._channel_type, self._interface_factory,
-            **self._channel_options,
-        )
-        self.parameters = _ParametersProxy(
-            self.channel, self.channel.call("parameter_names"),
-            self._inflight, on_set=self._record_parameter,
-        )
+        self._open_channel()
         for name, value in self._parameter_cache.items():
             self.channel.call("set_parameter", name, value)
         self._stopped = False
-        self._replay_state()
-        return self
-
-    def _replay_state(self):
-        """Push the cached script-side state onto a fresh worker.
-
-        The base replay restores the model clock; subclasses that
-        mirror particles re-upload them first (in code units, through
-        the same converter as the original upload, so unit-converted
-        state round-trips exactly).
-        """
+        if len(self._ids):
+            self._ids, _columns = self._upload(self.particles)
+            self.channel.call("ensure_state", "RUN")
         self.channel.call("set_model_time", self._model_time_code)
+        return self
 
     def __enter__(self):
         return self
@@ -420,133 +528,26 @@ class GravitationalDynamicsCode(CommunityCode):
     """Shared wrapper for PhiGRAPE / Octgrav / Fi (and Gadget's gravity
     surface): particle management, evolution, energies, bridge fields."""
 
-    _TIME_UNIT = nbody_system.time
     _MASS_UNIT = nbody_system.mass
     _LENGTH_UNIT = nbody_system.length
     _SPEED_UNIT = nbody_system.speed
 
-    def add_particles(self, particles):
-        """Register script particles with the worker; returns the local
-        mirror subset."""
-        self._require_edit("add_particles")
-        mass = self._to_code(particles.mass, self._MASS_UNIT)
-        pos = self._to_code(particles.position, self._LENGTH_UNIT)
-        vel = self._to_code(particles.velocity, self._SPEED_UNIT)
-        ids = self.channel.call(
-            "new_particle", mass,
-            pos[:, 0], pos[:, 1], pos[:, 2],
-            vel[:, 0], vel[:, 1], vel[:, 2],
-        )
-        self._register(particles, ids, mass, pos, vel)
-        return self.particles
-
-    def _register(self, particles, ids, mass, pos, vel):
-        mirror = Particles(keys=np.asarray(particles.key))
-        mirror.mass = self._from_code(mass, self._MASS_UNIT)
-        mirror.position = self._from_code(pos, self._LENGTH_UNIT)
-        mirror.velocity = self._from_code(vel, self._SPEED_UNIT)
-        self.particles.add_particles(mirror)
-        self._ids = np.concatenate(
-            [self._ids, np.asarray(ids, dtype=np.int64)]
-        )
-
-    def commit_particles(self):
-        self._require_edit("commit_particles")
-        self.channel.call("ensure_state", "RUN")
-
-    def _replay_state(self):
-        """RESTART replay: re-upload the mirror (converted back to
-        code units exactly like the original ``add_particles``), run
-        the fresh worker up to RUN, and restore the model clock.  The
-        worker assigns new ids; the mirror keeps its keys."""
-        if len(self._ids):
-            mass = self._to_code(self.particles.mass, self._MASS_UNIT)
-            pos = self._to_code(
-                self.particles.position, self._LENGTH_UNIT
-            )
-            vel = self._to_code(
-                self.particles.velocity, self._SPEED_UNIT
-            )
-            ids = self.channel.call(
-                "new_particle", mass,
-                pos[:, 0], pos[:, 1], pos[:, 2],
-                vel[:, 0], vel[:, 1], vel[:, 2],
-                *self._replay_extra_columns(),
-            )
-            self._ids = np.asarray(ids, dtype=np.int64)
-            self.channel.call("ensure_state", "RUN")
-        self.channel.call("set_model_time", self._model_time_code)
-
-    def _replay_extra_columns(self):
-        """Extra ``new_particle`` columns for the replay upload (the
-        Gadget subclass adds internal energy)."""
-        return ()
-
-    #: (worker getter, worker setter, mirror attribute, code unit): the
-    #: state pull_state reads and push_state writes, each in one
-    #: batched frame; subclasses extend it to sync extra attributes
     _STATE_ATTRS = (
         ("get_mass", "set_mass", "mass", _MASS_UNIT),
         ("get_position", "set_position", "position", _LENGTH_UNIT),
         ("get_velocity", "set_velocity", "velocity", _SPEED_UNIT),
     )
 
-    @remote_method
-    def pull_state(self):
-        """Refresh the local mirror from the worker.
-
-        One batched frame fetches every attribute in ``_STATE_ATTRS``
-        per sync instead of one frame per attribute; the async form
-        applies the values (and unit conversion) at join time.
-        """
-        self._require_open("pull_state")
-        if not len(self._ids):
-            return Future.completed(
-                self.particles,
-                description=f"{type(self).__name__}.pull_state",
-            )
-        with self.channel.batch():
-            requests = [
-                self.channel.async_call(getter, self._ids)
-                for getter, _setter, _attr, _unit in self._STATE_ATTRS
-            ]
-
-        def _apply(values):
-            for (_getter, _setter, attr, unit), value in zip(
-                    self._STATE_ATTRS, values, strict=True):
-                setattr(self.particles, attr, self._from_code(value, unit))
-            return self.particles
-
-        return Future(
-            requests=requests, transform=_apply,
-            description=f"{type(self).__name__}.pull_state",
-        )
-
-    @remote_method
-    def push_masses(self):
-        """Send mirror masses to the worker (stellar-evolution coupling)."""
-        self._begin_transition("push_masses")
-        if not len(self._ids):
-            self._abort_transition("push_masses")
-            return Future.completed(None)
-        request = self._launch_guarded(
-            "push_masses",
-            lambda: self.channel.async_call(
-                "set_mass", self._ids,
-                self._to_code(self.particles.mass, self._MASS_UNIT),
-            ),
-        )
-        return self._transition_future(
-            "push_masses", request, transform=lambda _v: None
-        )
+    def commit_particles(self):
+        self._require_edit("commit_particles")
+        self.channel.call("ensure_state", "RUN")
 
     @remote_method
     def push_state(self):
         """Send every mirror attribute in ``_STATE_ATTRS`` to the
         worker in one batched frame."""
-        self._begin_transition("push_state")
         if not len(self._ids):
-            self._abort_transition("push_state")
+            self._require_edit("push_state")
             return Future.completed(None)
 
         def _launch():
@@ -560,64 +561,28 @@ class GravitationalDynamicsCode(CommunityCode):
                     for setter, value in writes
                 ]
 
-        requests = self._launch_guarded("push_state", _launch)
-        return self._transition_future(
-            "push_state", requests=requests,
-            transform=lambda _values: None,
+        return self._transition(
+            "push_state", _launch, transform=lambda _values: None
         )
 
-    @remote_method
-    def kick(self, velocity_delta):
-        """Apply a velocity increment to all particles (bridge kicks).
-
-        One pipelined ``add_velocity`` round trip per kick — no
-        join-time channel I/O, so kicks on independent codes overlap
-        fully when launched asynchronously."""
-        self._begin_transition("kick")
-        request = self._launch_guarded(
-            "kick",
-            lambda: self.channel.async_call(
-                "add_velocity", self._ids,
-                self._to_code(velocity_delta, self._SPEED_UNIT),
-            ),
-        )
-        return self._transition_future(
-            "kick", request, transform=lambda _v: None
-        )
+    #: mirror masses to the worker (stellar-evolution coupling)
+    push_masses = _mutation("push_masses", "set_mass", _MASS_UNIT,
+                            mirror="mass")
+    #: a velocity increment for every particle (bridge kicks): one
+    #: pipelined ``add_velocity`` round trip, no join-time channel I/O,
+    #: so kicks on independent codes overlap fully
+    kick = _mutation("kick", "add_velocity", _SPEED_UNIT)
 
     # -- diagnostics ---------------------------------------------------------
 
-    def _energy_future(self, getter):
-        self._require_open(getter)
-        return QuantityFuture(
-            self.channel.async_call(getter),
-            transform=lambda v: self._from_code(v, nbody_system.energy),
-            description=f"{type(self).__name__}.{getter}",
-        )
-
-    @remote_method
-    def get_kinetic_energy(self):
-        return self._energy_future("get_kinetic_energy")
-
-    @remote_method
-    def get_potential_energy(self):
-        return self._energy_future("get_potential_energy")
-
-    @remote_method
-    def get_total_energy(self):
-        return self._energy_future("get_total_energy")
-
-    @property
-    def kinetic_energy(self):
-        return self.get_kinetic_energy()
-
-    @property
-    def potential_energy(self):
-        return self.get_potential_energy()
-
-    @property
-    def total_energy(self):
-        return self.get_total_energy()
+    get_kinetic_energy = _query("get_kinetic_energy", nbody_system.energy)
+    get_potential_energy = _query(
+        "get_potential_energy", nbody_system.energy
+    )
+    get_total_energy = _query("get_total_energy", nbody_system.energy)
+    kinetic_energy = property(get_kinetic_energy)
+    potential_energy = property(get_potential_energy)
+    total_energy = property(get_total_energy)
 
     # -- bridge field surface ------------------------------------------------
 
@@ -654,19 +619,12 @@ class GravitationalDynamicsCode(CommunityCode):
             description=f"{type(self).__name__}.{method}",
         )
 
-    @remote_method
-    def get_gravity_at_point(self, eps, points, sources=None):
-        return self._field_query(
-            "get_gravity_at_point", nbody_system.acceleration,
-            eps, points, sources,
-        )
-
-    @remote_method
-    def get_potential_at_point(self, eps, points, sources=None):
-        return self._field_query(
-            "get_potential_at_point", nbody_system.speed ** 2,
-            eps, points, sources,
-        )
+    get_gravity_at_point = _query(
+        "get_gravity_at_point", nbody_system.acceleration, field=True
+    )
+    get_potential_at_point = _query(
+        "get_potential_at_point", nbody_system.speed ** 2, field=True
+    )
 
 
 class PhiGRAPE(GravitationalDynamicsCode):
@@ -693,60 +651,26 @@ class Gadget(GravitationalDynamicsCode):
 
     INTERFACE = GadgetInterface
 
-    def add_particles(self, particles):
-        self._require_edit("add_particles")
-        mass = self._to_code(particles.mass, self._MASS_UNIT)
-        pos = self._to_code(particles.position, self._LENGTH_UNIT)
-        vel = self._to_code(particles.velocity, self._SPEED_UNIT)
-        uu = self._to_code(particles.u, self._SPEED_UNIT ** 2)
-        ids = self.channel.call(
-            "new_particle", mass,
-            pos[:, 0], pos[:, 1], pos[:, 2],
-            vel[:, 0], vel[:, 1], vel[:, 2], uu,
-        )
-        self._register(particles, ids, mass, pos, vel)
-        self.particles.u = self._from_code(uu, self._SPEED_UNIT ** 2)
-        return self.particles
-
     _STATE_ATTRS = GravitationalDynamicsCode._STATE_ATTRS + (
         ("get_internal_energy", "set_internal_energy", "u",
          GravitationalDynamicsCode._SPEED_UNIT ** 2),
     )
 
-    def _replay_extra_columns(self):
-        return (self._to_code(self.particles.u, self._SPEED_UNIT ** 2),)
-
-    def inject_energy(self, subset_indices, du):
-        """Add specific internal energy *du* to the given particles —
-        the supernova/wind feedback path of the embedded-cluster run."""
-        self._require_edit("inject_energy")
-        ids = self._ids[np.asarray(subset_indices, dtype=np.intp)]
-        self.channel.call(
-            "add_internal_energy", ids,
-            self._to_code(du, self._SPEED_UNIT ** 2),
-        )
-
-    @remote_method
-    def get_potential(self):
-        """Potential of the gas at each gas particle (mirror order),
-        evaluated by the worker on its own arrays so that no particle
-        counts its own softened potential."""
-        self._require_open("get_potential")
-        return QuantityFuture(
-            self.channel.async_call("get_potential", self._ids),
-            transform=lambda v: self._from_code(
-                v, nbody_system.speed ** 2
-            ),
-            description="Gadget.get_potential",
-        )
-
-    @remote_method
-    def get_thermal_energy(self):
-        return self._energy_future("get_thermal_energy")
-
-    @property
-    def thermal_energy(self):
-        return self.get_thermal_energy()
+    #: specific internal energy *du* added to the particles at the
+    #: given mirror indices — the supernova/wind feedback path of the
+    #: embedded-cluster run
+    inject_energy = _mutation(
+        "inject_energy", "add_internal_energy",
+        GravitationalDynamicsCode._SPEED_UNIT ** 2, subset=True,
+    )
+    #: potential of the gas at each gas particle (mirror order),
+    #: evaluated by the worker on its own arrays so that no particle
+    #: counts its own softened potential
+    get_potential = _query(
+        "get_potential", nbody_system.speed ** 2, ids=True
+    )
+    get_thermal_energy = _query("get_thermal_energy", nbody_system.energy)
+    thermal_energy = property(get_thermal_energy)
 
 
 class SSE(CommunityCode):
@@ -755,6 +679,11 @@ class SSE(CommunityCode):
 
     INTERFACE = SSEInterface
     _TIME_UNIT = u.Myr
+    #: the one uploaded column: ``new_particle`` takes the ZAMS mass
+    #: (the RESTART replay re-seeds from the mirror's current masses,
+    #: which keeps the script-visible state continuous); the rest of
+    #: the stellar state arrives through ``get_state``
+    _STATE_ATTRS = (("get_mass", None, "mass", u.MSun),)
 
     def __init__(self, channel_type="direct", channel_options=None,
                  session=None, **parameters):
@@ -765,30 +694,8 @@ class SSE(CommunityCode):
         )
 
     def add_particles(self, particles):
-        self._require_edit("add_particles")
-        zams = particles.mass.value_in(u.MSun)
-        ids = self.channel.call("new_particle", zams)
-        mirror = Particles(keys=np.asarray(particles.key))
-        mirror.mass = Quantity(zams, u.MSun)
-        self.particles.add_particles(mirror)
-        self._ids = np.concatenate(
-            [self._ids, np.asarray(ids, dtype=np.int64)]
-        )
-        self.pull_state()
-        return self.particles
-
-    def _replay_state(self):
-        """RESTART replay: re-seed the fresh worker from the mirror's
-        current masses and restore the evolution clock.  (The mirror
-        holds evolved masses, not ZAMS values — replaying them keeps
-        the script-visible state continuous across the respawn.)"""
-        if len(self._ids):
-            ids = self.channel.call(
-                "new_particle", self.particles.mass.value_in(u.MSun)
-            )
-            self._ids = np.asarray(ids, dtype=np.int64)
-            self.channel.call("ensure_state", "RUN")
-        self.channel.call("set_model_time", self._model_time_code)
+        super().add_particles(particles)
+        return self.pull_state()
 
     @remote_method
     def pull_state(self):
@@ -812,10 +719,4 @@ class SSE(CommunityCode):
             request, transform=_apply, description="SSE.pull_state"
         )
 
-    @remote_method
-    def time_of_next_supernova(self):
-        return QuantityFuture(
-            self.channel.async_call("time_of_next_supernova"),
-            transform=lambda t: Quantity(t, u.Myr),
-            description="SSE.time_of_next_supernova",
-        )
+    time_of_next_supernova = _query("time_of_next_supernova", u.Myr)

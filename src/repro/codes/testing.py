@@ -35,7 +35,6 @@ import time
 
 import numpy as np
 
-from ..units import nbody as nbody_system
 from .base import CodeInterface
 from .highlevel import CommunityCode
 
@@ -94,7 +93,6 @@ class SleepCode(CommunityCode):
     """High-level wrapper: full async surface over a SleepInterface."""
 
     INTERFACE = SleepInterface
-    _TIME_UNIT = nbody_system.time
 
 
 class DriftingInterface(CodeInterface):
@@ -150,7 +148,6 @@ class DriftingCode(CommunityCode):
     """High-level wrapper exposing the drift/loss conservation metrics."""
 
     INTERFACE = DriftingInterface
-    _TIME_UNIT = nbody_system.time
 
     def metrics(self):
         """``{energy_drift, mass_loss}`` read back from the worker."""
@@ -194,20 +191,16 @@ class PhasedSleepCode(CommunityCode):
     """High-level wrapper: async evolve + async kick with pinned costs."""
 
     INTERFACE = PhasedSleepInterface
-    _TIME_UNIT = nbody_system.time
 
     def kick(self, dt):
         """Blocking kick; ``kick_async`` is the overlapping form."""
         return self.kick_async(dt).result()
 
     def kick_async(self, dt):
-        self._begin_transition("kick")
-        request = self._launch_guarded(
+        return self._transition(
             "kick",
             lambda: self.channel.async_call("apply_kick", float(dt)),
-        )
-        return self._transition_future(
-            "kick", request, transform=lambda _v: None
+            transform=lambda _v: None,
         )
 
 
@@ -243,7 +236,6 @@ class NumpyKernelCode(CommunityCode):
     """High-level wrapper: full async surface over compute-heavy evolve."""
 
     INTERFACE = NumpyKernelInterface
-    _TIME_UNIT = nbody_system.time
 
 
 class CrashingInterface(CodeInterface):

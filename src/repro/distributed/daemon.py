@@ -33,11 +33,14 @@ Daemon message surface (all frames per :mod:`repro.rpc.protocol`):
   ``session`` entry (``{"join": token}`` to attach to an existing
   session, ``{"name": ...}`` to label a new one).  The ack carries the
   granted ``{"id", "token"}`` pair.
-* ``("start_worker", req_id, factory_bytes, resource, node_count
-  [, worker_mode[, session_id[, options]]])`` — *worker_mode*
-  ("thread", "subprocess" or "shm") overrides the daemon's default;
-  subprocess and shm pilots are claimed from the warm pool when one
-  is parked.  ``options={"relay": True}`` starts a *relay pilot*: the
+* ``("start_worker", req_id, factory_bytes, resource, node_count,
+  worker_mode, session_id, options)`` — every field present; a frame
+  of another shape gets an error reply naming them.  *worker_mode*
+  ("thread", "subprocess" or "shm"; None for the daemon's default)
+  picks the pilot; subprocess and shm pilots are claimed from the warm
+  pool when one is parked.  *session_id* may be None (the
+  connection's own session).  *options* is a dict;
+  ``{"relay": True}`` starts a *relay pilot*: the
   pilot is bootstrapped but NOT wire-negotiated, waiting for an
   ``attach_worker`` splice
 * ``("attach_worker", req_id, worker_id[, session_id])`` — flips this
@@ -772,62 +775,47 @@ class IbisDaemon:
             (payload,) = rest
             return payload
         if kind == "start_worker":
-            # pre-subprocess clients send a 3-tuple (no worker_mode);
-            # they get the daemon's default mode.  Session-aware
-            # clients append their sid after the mode.
-            factory_bytes, resource, node_count, *opt = rest
-            worker_mode = opt[0] if opt and opt[0] is not None else \
-                self._worker_mode
-            self._validate_sid(
-                session, opt[1] if len(opt) >= 2 else None
-            )
-            options = opt[2] if len(opt) >= 3 \
-                and isinstance(opt[2], dict) else {}
-            relay = bool(options.get("relay"))
-            factory = pickle.loads(factory_bytes)
-            if relay:
-                if worker_mode not in _WORKER_MODES:
-                    raise ValueError(
-                        f"unknown worker mode {worker_mode!r}; "
-                        f"known: {sorted(_WORKER_MODES)}"
-                    )
-                code_name = getattr(
-                    getattr(factory, "func", factory), "__name__",
-                    type(factory).__name__,
+            if len(rest) != 6 or not isinstance(rest[5], dict):
+                raise ProtocolError(
+                    "start_worker takes (factory_bytes, resource, "
+                    "node_count, worker_mode, session_id, options dict); "
+                    f"got {len(rest)} fields"
                 )
-                if worker_mode == "thread":
-                    worker = _RelayThreadWorker(factory)
-                else:
-                    # relay shm pilots are plain subprocess spawns:
-                    # the shm leg is negotiated client<->pilot end to
-                    # end through the splice, not with the daemon
-                    worker = _RelaySubprocessWorker(
-                        factory, mode=worker_mode,
-                        warm_pool=self.warm_pool,
-                    )
-                    key = "warm_hits" if worker.warm_hit else \
-                        "cold_spawns"
-                    session.accounting[key] += 1
-            elif worker_mode in ("subprocess", "shm"):
-                worker = _SubprocessWorker(
-                    factory, shm=(worker_mode == "shm"),
-                    warm_pool=self.warm_pool,
-                )
-                code_name = getattr(
-                    getattr(factory, "func", factory), "__name__",
-                    type(factory).__name__,
-                )
-                key = "warm_hits" if worker.warm_hit else \
-                    "cold_spawns"
-                session.accounting[key] += 1
-            elif worker_mode == "thread":
-                worker = _ThreadWorker(factory())
-                code_name = type(worker.interface).__name__
-            else:
+            factory_bytes, resource, node_count, worker_mode, sid, \
+                options = rest
+            if worker_mode is None:
+                worker_mode = self._worker_mode
+            if worker_mode not in _WORKER_MODES:
                 raise ValueError(
                     f"unknown worker mode {worker_mode!r}; "
                     f"known: {sorted(_WORKER_MODES)}"
                 )
+            self._validate_sid(session, sid)
+            factory = pickle.loads(factory_bytes)
+            code_name = getattr(
+                getattr(factory, "func", factory), "__name__",
+                type(factory).__name__,
+            )
+            if options.get("relay") and worker_mode == "thread":
+                worker = _RelayThreadWorker(factory)
+            elif options.get("relay"):
+                # relay shm pilots are plain subprocess spawns: the shm
+                # leg is negotiated client<->pilot end to end through
+                # the splice, not with the daemon
+                worker = _RelaySubprocessWorker(
+                    factory, mode=worker_mode, warm_pool=self.warm_pool,
+                )
+            elif worker_mode == "thread":
+                worker = _ThreadWorker(factory())
+                code_name = type(worker.interface).__name__
+            else:
+                worker = _SubprocessWorker(
+                    factory, shm=(worker_mode == "shm"),
+                    warm_pool=self.warm_pool,
+                )
+            if worker_mode != "thread":
+                key = "warm_hits" if worker.warm_hit else "cold_spawns"
+                session.accounting[key] += 1
             with self._lock:
                 # a session reaped or closed while the worker spawned
                 # must not adopt it — the orphan would outlive every

@@ -1,5 +1,8 @@
 """Distributed AMUSE tests: daemon, ibis channel, pilots, faults."""
 
+import pickle
+import socket
+
 import pytest
 
 from repro.codes import PhiGRAPE
@@ -16,6 +19,7 @@ from repro.distributed import (
 from repro.ic import new_plummer_model
 from repro.jungle import make_sc11_jungle
 from repro.rpc import RemoteError
+from repro.rpc.protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from repro.units import nbody_system, units
 
 pytestmark = pytest.mark.network
@@ -84,6 +88,30 @@ class TestDaemon:
     def test_channel_requires_daemon(self):
         with pytest.raises(ValueError):
             DistributedChannel(PhiGRAPEInterface)
+
+    def test_short_start_worker_frame_gets_error_reply(self, daemon):
+        """start_worker has one shape: a frame missing its mode,
+        session and options fields is answered with an error naming
+        them, and the connection keeps serving."""
+        client = socket.create_connection(daemon.address)
+        try:
+            send_frame(client, ("hello", 1, PROTOCOL_VERSION, {}))
+            assert recv_frame(client)[:2] == ("result", 1)
+            send_frame(client, (
+                "start_worker", 2, pickle.dumps(PhiGRAPEInterface),
+                "local", 1,
+            ))
+            reply = recv_frame(client)
+            assert reply[:3] == ("error", 2, "ProtocolError")
+            for field in ("worker_mode", "session_id", "options"):
+                assert field in reply[3]
+            send_frame(client, ("status", 3))
+            kind, req_id, status = recv_frame(client)
+            assert (kind, req_id) == ("result", 3)
+            assert status["session"]["workers"] == {}
+            assert status["session"]["accounting"]["errors"] == 1
+        finally:
+            client.close()
 
 
 class TestIbisChannelHighLevel:

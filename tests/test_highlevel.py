@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.codes import SSE, Fi, Gadget, Octgrav, PhiGRAPE
+from repro.codes.base import CodeStateError
 from repro.ic import new_plummer_gas_model, new_plummer_model
+from repro.rpc import Future, remote_method
 from repro.units import nbody_system, units
 
 
@@ -169,6 +171,110 @@ class TestSSEWrapper:
         t_sn = se.time_of_next_supernova()
         assert 20.0 < t_sn.value_in(units.Myr) < 50.0
         se.stop()
+
+
+_GRAVITY_ROWS = (
+    "get_model_time", "get_kinetic_energy", "get_potential_energy",
+    "get_total_energy", "get_gravity_at_point", "get_potential_at_point",
+    "kick", "push_masses",
+)
+#: every derived remote operation of each code: the rows of its table
+_ROWS = {
+    PhiGRAPE: _GRAVITY_ROWS,
+    Fi: _GRAVITY_ROWS,
+    Gadget: _GRAVITY_ROWS + (
+        "get_potential", "get_thermal_energy", "inject_energy"),
+    SSE: ("get_model_time", "time_of_next_supernova"),
+}
+_MUTATIONS = ("kick", "push_masses", "inject_energy")
+#: the remote methods written by hand
+_HAND_WRITTEN = {"evolve_model", "pull_state", "push_state"}
+
+
+def _loaded_code(cls, converter):
+    if cls is SSE:
+        code = SSE()
+        stars = new_plummer_model(4, rng=3)
+        stars.mass = np.array([1.0, 5.0, 12.0, 30.0]) | units.MSun
+        code.add_particles(stars)
+    elif cls is Gadget:
+        code = Gadget(converter)
+        code.add_particles(
+            new_plummer_gas_model(32, convert_nbody=converter, rng=2))
+    else:
+        code = cls(converter)
+        code.add_particles(
+            new_plummer_model(32, convert_nbody=converter, rng=0))
+    return code
+
+
+def _row_args(code, row):
+    if row in ("get_gravity_at_point", "get_potential_at_point"):
+        return (0.01 | units.parsec, code.particles.position)
+    if row == "kick":
+        return (np.ones((len(code.particles), 3)) | units.kms,)
+    if row == "inject_energy":
+        return ([0, 1], 1e10 | units.J / units.kg)
+    return ()
+
+
+class TestInterfaceTable:
+    @pytest.mark.parametrize("cls", list(_ROWS), ids=lambda c: c.__name__)
+    def test_rows_are_every_derived_remote_method(self, cls):
+        remote = {
+            name for name in dir(cls)
+            if isinstance(getattr(cls, name), remote_method)
+        }
+        assert remote - _HAND_WRITTEN == set(_ROWS[cls])
+
+    @pytest.mark.parametrize("cls, row", [
+        (cls, row) for cls, rows in _ROWS.items() for row in rows
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_row(self, converter, cls, row):
+        """The blocking call is its future's result; a mutation is
+        refused while an evolve is in flight; nothing reaches a stopped
+        code."""
+        code = _loaded_code(cls, converter)
+        args = _row_args(code, row)
+        method = getattr(code, row)
+        blocking = method(*args)
+        future = method.async_(*args)
+        assert isinstance(future, Future)
+        joined = future.result()
+        if blocking is None:
+            assert joined is None
+        else:
+            assert joined.unit.powers == blocking.unit.powers
+            assert np.array_equal(joined.number, blocking.number)
+        if row in _MUTATIONS:
+            evolving = code.evolve_model.async_(0.001 | units.Myr)
+            with pytest.raises(CodeStateError, match="in flight"):
+                method(*args)
+            with pytest.raises(CodeStateError, match="in flight"):
+                method.async_(*args)
+            evolving.result()
+            method(*args)          # legal again after the join
+        code.stop()
+        with pytest.raises(CodeStateError, match="stopped"):
+            method(*args)
+        with pytest.raises(CodeStateError, match="stopped"):
+            method.async_(*args)
+
+    def test_stopped_code_queries_and_parameters(self, converter):
+        se = SSE()
+        se.stop()
+        with pytest.raises(CodeStateError, match="stopped"):
+            se.time_of_next_supernova()
+        grav = PhiGRAPE(converter, eta=0.125)
+        grav.stop()
+        with pytest.raises(CodeStateError, match="stopped"):
+            grav.parameters.eta
+        with pytest.raises(CodeStateError, match="stopped"):
+            grav.parameters.eta = 0.25
+        with pytest.raises(CodeStateError, match="stopped"):
+            repr(grav.parameters)
+        with pytest.raises(AttributeError):
+            grav.parameters.nonexistent
 
 
 class TestMultiKernelEquivalence:

@@ -22,13 +22,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.codes import PhiGRAPE
+from repro.codes import SSE, Gadget, PhiGRAPE
 from repro.codes.base import CodeStateError
 from repro.codes.group import EvolveGroup
 from repro.codes.testing import SleepCode, SleepInterface
 from repro.coupling import Bridge, CouplingField
 from repro.distributed import DistributedChannel, IbisDaemon
-from repro.ic import new_plummer_model
+from repro.ic import new_plummer_gas_model, new_plummer_model
 from repro.rpc import (
     CancelledError,
     AggregateRequestError,
@@ -604,6 +604,48 @@ class TestRestartPolicy:
             grav.evolve_model(0.01 | units.Myr)
         finally:
             grav.shutdown()
+
+    @pytest.mark.parametrize("cls", [PhiGRAPE, Gadget, SSE],
+                             ids=lambda cls: cls.__name__)
+    def test_restart_replays_every_column_bit_for_bit(self, cls):
+        """The replay uploads every particle column the code declares
+        (Gadget's internal energy, SSE's masses), so a pull from the
+        respawned worker hands back the mirror bit for bit.  Generic
+        units keep conversion out of it; SSE is compared at ZAMS,
+        because it re-seeds from the current masses."""
+        if cls is SSE:
+            particles = new_plummer_model(6, rng=7)
+            particles.mass = np.linspace(1.0, 30.0, 6) | units.MSun
+            code = SSE(channel_type="sockets")
+        else:
+            make = new_plummer_gas_model if cls is Gadget \
+                else new_plummer_model
+            particles = make(32, rng=7)
+            code = cls(channel_type="sockets")
+
+        def mirror():
+            values = {
+                name: getattr(code.particles, name)
+                for name in code.particles.attribute_names()
+            }
+            return {
+                name: np.asarray(getattr(value, "number", value)).tobytes()
+                for name, value in values.items()
+            }
+
+        try:
+            code.add_particles(particles)
+            if cls is not SSE:
+                code.evolve_model(0.01 | nbody_system.time)
+            before = mirror()
+            old_channel = code.channel
+            code.restart_worker()
+            assert code.channel is not old_channel
+            code.pull_state()
+            assert mirror() == before
+            assert ("u" in before) == (cls is Gadget)
+        finally:
+            code.shutdown()
 
     def test_restart_restores_model_clock(self):
         code = SleepCode(
