@@ -31,6 +31,7 @@ from .kernels import (
     direct_acc_jerk,
     direct_acceleration,
     direct_potential,
+    gravity_field,
     total_energy,
 )
 from .phigrape import PhiGRAPEInterface
@@ -61,5 +62,6 @@ __all__ = [
     "direct_acceleration",
     "direct_acc_jerk",
     "direct_potential",
+    "gravity_field",
     "total_energy",
 ]

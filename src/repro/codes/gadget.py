@@ -9,13 +9,16 @@ resolution relevant here:
   number (k-NN via a cKDTree, fully vectorized);
 * ideal-gas equation of state (γ = 5/3) with Monaghan artificial
   viscosity;
-* self-gravity through the shared Barnes–Hut octree;
+* self-gravity through the shared :func:`~repro.codes.kernels.gravity_field`:
+  summed directly up to ``kernels._DIRECT_MAX`` (1024) gas particles,
+  where that is measured to beat the tree, and by the Barnes–Hut
+  octree above;
 * kick–drift–kick leapfrog with a Courant-limited global step.  A step
   needs forces after its drift and again at the top of the next step,
   and only ``vel`` and ``u`` change in between, so everything a force
   evaluation derives from positions and masses alone (kd-tree,
-  neighbours, ``h``, ``rho``, pair geometry, kernel gradients, octree
-  build and walk) is computed once per drift and reused; the reused
+  neighbours, ``h``, ``rho``, pair geometry, kernel gradients,
+  self-gravity) is computed once per drift and reused; the reused
   arrays are what a fresh evaluation would recompute, so this is exact
   (see :func:`sph_state_arrays`).
 
@@ -32,7 +35,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .base import CodeInterface, InCodeParticleStorage, ParticleStateMixin
-from .kernels import Octree
+from .kernels import gravity_field
 
 __all__ = [
     "GadgetInterface",
@@ -119,7 +122,7 @@ def _sph_geometry(pos, mass, k, sel, decomposed, eps2, theta,
         "gravity": None,
     }
     if self_gravity:
-        geometry["gravity"] = Octree(pos, mass).accelerations(
+        geometry["gravity"] = gravity_field(pos, mass).accelerations(
             targets=pos[sel], theta=theta, eps2=eps2
         )
     return geometry
@@ -138,7 +141,7 @@ def sph_state_arrays(pos, vel, mass, u, n_neighbours, gamma,
 
     The evaluation has a position/mass-only part (:func:`_sph_geometry`:
     kd-tree, neighbour query, ``h``, ``rho``, pair geometry, kernel
-    gradients, octree build and walk) and a cheap part that also reads
+    gradients, self-gravity) and a cheap part that also reads
     ``vel`` and ``u`` (pressure, viscosity, the pair sums).  A KDK step
     evaluates forces after the drift and again at the top of the next
     step, and only ``vel`` and ``u`` change in between (the half kick),
@@ -352,20 +355,20 @@ class GadgetInterface(ParticleStateMixin, CodeInterface):
 
     def get_gravity_at_point(self, eps2, points):
         st = self.storage
-        tree = Octree(st.arrays["pos"], st.arrays["mass"])
+        field = gravity_field(st.arrays["pos"], st.arrays["mass"])
         pts = np.asarray(points, dtype=float)
         self.interaction_count += int(
             len(pts) * max(1.0, np.log2(max(len(st), 2)))
         )
-        return tree.accelerations(
+        return field.accelerations(
             targets=pts, theta=self.theta,
             eps2=max(float(eps2), self.eps2),
         )
 
     def get_potential_at_point(self, eps2, points):
         st = self.storage
-        tree = Octree(st.arrays["pos"], st.arrays["mass"])
-        return tree.potentials(
+        field = gravity_field(st.arrays["pos"], st.arrays["mass"])
+        return field.potentials(
             targets=np.asarray(points, dtype=float), theta=self.theta,
             eps2=max(float(eps2), self.eps2),
         )
@@ -374,15 +377,14 @@ class GadgetInterface(ParticleStateMixin, CodeInterface):
         """Potential of the gas at the particles' own positions, each
         particle's own softened potential left out.
 
-        Evaluated on the stored arrays: the octree recognises a
+        Evaluated on the stored arrays: the field recognises a
         particle as its own source only at an exactly zero separation,
         which positions that went through a unit conversion on their
         way back in as ``get_potential_at_point`` targets do not keep.
         """
         st = self.storage
-        phi = Octree(st.arrays["pos"], st.arrays["mass"]).potentials(
-            theta=self.theta, eps2=self.eps2
-        )
+        field = gravity_field(st.arrays["pos"], st.arrays["mass"])
+        phi = field.potentials(theta=self.theta, eps2=self.eps2)
         return phi if ids is None else phi[st.rows(ids)]
 
 

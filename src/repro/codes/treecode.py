@@ -10,6 +10,11 @@ their default opening angle.
 Self-contained dynamics (leapfrog KDK with a fixed time step, the usual
 choice for tree codes) is also provided so the codes can be used as
 standalone gravity solvers.
+
+The field comes from :func:`~repro.codes.kernels.gravity_field`: a
+direct sum up to ``kernels._DIRECT_MAX`` (1024) particles, where that is
+measured to beat the tree, and the Barnes–Hut octree (``leaf_size``,
+``theta``) above.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import CodeInterface, InCodeParticleStorage, ParticleStateMixin
-from .kernels import Octree
+from .kernels import gravity_field
 
 __all__ = ["TreeGravityInterface", "OctgravInterface", "FiInterface"]
 
@@ -69,7 +74,7 @@ class TreeGravityInterface(ParticleStateMixin, CodeInterface):
     def _ensure_tree(self):
         if self._tree is None:
             st = self.storage
-            self._tree = Octree(
+            self._tree = gravity_field(
                 st.arrays["pos"], st.arrays["mass"],
                 leaf_size=int(self.leaf_size),
             )

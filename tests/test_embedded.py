@@ -139,7 +139,7 @@ class TestDiagnostics:
 
 class TestGasPotentialHasNoSelfTerm:
     """``gas_specific_energy`` used to send the mirror positions back
-    to the hydro worker as field points; the octree drops a particle's
+    to the hydro worker as field points; the gas field drops a particle's
     own softened potential only at an exactly zero separation, which
     the pc -> m -> N-body round trip keeps for a minority of them, so
     most particles gained an extra -m/eps."""
@@ -155,14 +155,14 @@ class TestGasPotentialHasNoSelfTerm:
         simulation.stop()
 
     def test_gas_term_is_the_workers_own_potential(self, evolved):
-        from repro.codes.kernels import Octree
+        from repro.codes.kernels import gravity_field
         from repro.units import nbody as nbody_system
         from repro.units.core import Quantity
 
         hydro = evolved.hydro
         worker = hydro.channel.interface
         arrays = worker.storage.arrays
-        own = Octree(arrays["pos"], arrays["mass"]).potentials(
+        own = gravity_field(arrays["pos"], arrays["mass"]).potentials(
             theta=worker.theta, eps2=worker.eps2
         )
         want = evolved.converter.to_si(

@@ -17,7 +17,7 @@ from repro.codes.gadget import (
     ParallelGadget,
     sph_state_arrays,
 )
-from repro.codes.kernels import Octree
+from repro.codes.kernels import gravity_field
 from repro.codes.treecode import FiInterface
 from repro.ic import new_plummer_gas_model, new_plummer_model
 from repro.mpi import World
@@ -184,7 +184,8 @@ def fresh_tree_kdk(code, state, t, end_time):
     pos, vel, mass = state["pos"], state["vel"], state["mass"]
 
     def acc():
-        return Octree(pos, mass, leaf_size=code.leaf_size).accelerations(
+        field = gravity_field(pos, mass, leaf_size=code.leaf_size)
+        return field.accelerations(
             targets=pos, theta=code.theta, eps2=code.eps2
         )
 

@@ -1,14 +1,17 @@
-"""Gravity kernel tests: direct summation and the Barnes–Hut octree."""
+"""Gravity kernel tests: direct summation, the Barnes–Hut octree and
+the factory that chooses between them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codes.kernels import (
+    _DIRECT_MAX,
     Octree,
     direct_acc_jerk,
     direct_acceleration,
     direct_potential,
+    gravity_field,
     total_energy,
 )
 
@@ -362,3 +365,100 @@ class TestOctreeAgainstReference:
             finally:
                 tracemalloc.stop()
             assert peak < 32 * 2 ** 20, (theta, peak)
+
+
+def _plummer(n, seed=0):
+    from repro.ic import new_plummer_model
+
+    p = new_plummer_model(n, rng=seed)
+    return p.position.number, p.mass.number
+
+
+class TestGravityField:
+    """``gravity_field`` sums up to ``_DIRECT_MAX`` sources directly
+    and builds the octree above; both sides keep one self-hit rule."""
+
+    @pytest.mark.parametrize("n", [2, 300, _DIRECT_MAX])
+    @pytest.mark.parametrize("eps2", [0.0, 1e-4])
+    def test_direct_at_or_below_the_crossover(self, n, eps2):
+        pos, mass = _plummer(n)
+        field = gravity_field(pos, mass)
+        assert not isinstance(field, Octree)
+        assert np.array_equal(field.accelerations(eps2=eps2),
+                              direct_acceleration(pos, mass, eps2))
+        targets = pos[::3] + 0.01
+        assert np.array_equal(
+            field.accelerations(targets, eps2=eps2, G=2.0),
+            direct_acceleration(pos, mass, eps2, targets, G=2.0),
+        )
+
+    def test_direct_self_force_conserves_momentum(self):
+        """Σ mᵢaᵢ = 0 up to round-off; the tree's monopoles are not
+        symmetric and miss that by orders of magnitude."""
+        pos, mass = _plummer(_DIRECT_MAX)
+
+        def momentum_budget(field):
+            acc = field.accelerations(eps2=1e-4)
+            total = np.abs((mass[:, None] * acc).sum(axis=0)).max()
+            return total / (mass * np.linalg.norm(acc, axis=1)).sum()
+
+        assert momentum_budget(gravity_field(pos, mass)) <= 1e-14
+        assert momentum_budget(Octree(pos, mass)) > 1e-8
+
+    @pytest.mark.parametrize("leaf_size", [4, 16])
+    def test_tree_above_the_crossover(self, leaf_size):
+        pos, mass = _plummer(_DIRECT_MAX + 1)
+        field = gravity_field(pos, mass, leaf_size)
+        assert isinstance(field, Octree)
+        assert np.array_equal(field.nodes, Octree(pos, mass, leaf_size).nodes)
+
+    @pytest.mark.parametrize("eps2", [0.0, 1e-4])
+    @pytest.mark.parametrize("case", ["no sources", "one source",
+                                      "target on a source"])
+    def test_edge_cases_agree_with_the_tree(self, case, eps2):
+        rng = np.random.default_rng(7)
+        pos = rng.normal(size=(5, 3))
+        mass = rng.uniform(0.5, 1.0, 5)
+        targets = rng.normal(size=(4, 3))
+        if case == "no sources":
+            pos, mass = pos[:0], mass[:0]
+        elif case == "one source":
+            pos, mass = pos[:1], mass[:1]
+            targets[1] = pos[0]
+        else:
+            targets[[0, 2]] = pos[[3, 1]]
+        direct = gravity_field(pos, mass)
+        tree = Octree(pos, mass)
+        assert not isinstance(direct, Octree)
+        for points in (None, targets):
+            assert np.allclose(direct.accelerations(points, eps2=eps2),
+                               tree.accelerations(points, eps2=eps2),
+                               rtol=1e-13, atol=0)
+            assert np.allclose(direct.potentials(points, eps2=eps2),
+                               tree.potentials(points, eps2=eps2),
+                               rtol=1e-13, atol=0)
+        if case == "target on a source":
+            # the self-hit rule: nothing from the source it sits on
+            others = [0, 1, 2, 4]
+            assert direct.potentials(targets[:1], eps2=eps2) == pytest.approx(
+                direct_potential(pos[others], mass[others], eps2, targets[:1]),
+                rel=1e-13,
+            )
+
+    def test_direct_memory_is_bounded(self):
+        """One evaluation at ``_DIRECT_MAX`` sources and targets: the
+        pair scratch is sized from the source count, so it stays at
+        about ``kernels._PAIR_CHUNK`` pairs (a 1024-target block would
+        hold 1M pairs, ~40 MiB)."""
+        import tracemalloc
+
+        pos, mass = _plummer(_DIRECT_MAX)
+        field = gravity_field(pos, mass)
+        for evaluate in (field.accelerations, field.potentials):
+            tracemalloc.start()
+            try:
+                evaluate(eps2=1e-4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2 ** 20, (evaluate, peak)
