@@ -13,11 +13,12 @@ crossover, see there) it sums the field directly, above it it builds an
 
 All kernels are NumPy-vectorized and blocked to bound peak memory, per the
 HPC guides ("vectorizing for loops", "beware of cache effects"): the
-direct kernels take a block of targets at a time, the tree walk cuts its
-pair lists at ``_PAIR_CHUNK``.  Inside, coordinates are component-major
-— (3, ...) arrays whose x, y and z planes are contiguous — so that the
-``einsum`` contractions over pairs run along contiguous memory; the
-public functions take and return the usual (N, 3).  Units never appear
+direct kernels take a block of about ``_PAIR_CHUNK`` (target, source)
+pairs at a time, the tree walk cuts its pair lists at ``_PAIR_CHUNK``.
+Inside, coordinates are component-major — (3, ...) arrays whose x, y and
+z planes are contiguous — so that the ``einsum`` contractions over pairs
+run along contiguous memory; the public functions take and return the
+usual (N, 3).  Units never appear
 here — raw float64 arrays only; unit handling happens at the AMUSE
 interface layer.
 
@@ -39,6 +40,20 @@ __all__ = [
     "Octree",
     "gravity_field",
 ]
+
+#: most (target, source) pairs one block of a direct kernel, or one step
+#: of a tree walk, holds at once: longer pair lists are cut into pieces
+#: of about this length, which keeps the pair scratch in cache and
+#: bounds the working memory independently of N and theta
+_PAIR_CHUNK = 1 << 15
+
+
+def _block_rows(block, n_sources):
+    """Target rows per block: *block* if given, else about
+    ``_PAIR_CHUNK`` pairs over *n_sources* sources."""
+    if block is None:
+        return max(1, _PAIR_CHUNK // max(1, n_sources))
+    return block
 
 
 def _pair_offsets(sources, targets, i0, i1, scratch):
@@ -71,7 +86,7 @@ def _mass_over_r3(mass, r2):
 
 
 def direct_acceleration(pos, mass, eps2=0.0, targets=None, G=1.0,
-                        block=1024):
+                        block=None):
     """Softened direct-sum gravitational acceleration.
 
     Parameters
@@ -79,6 +94,8 @@ def direct_acceleration(pos, mass, eps2=0.0, targets=None, G=1.0,
     pos : (N, 3) source positions;  mass : (N,) source masses.
     targets : (M, 3) evaluation points; defaults to the sources
         (self-interaction contributes zero force).
+    block : target rows per block; by default about ``_PAIR_CHUNK``
+        pairs (``_PAIR_CHUNK // N`` rows).
     """
     mass = np.asarray(mass, dtype=float)
     src = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
@@ -86,6 +103,7 @@ def direct_acceleration(pos, mass, eps2=0.0, targets=None, G=1.0,
         np.asarray(targets, dtype=float).T
     )
     m = tgt.shape[1]
+    block = _block_rows(block, src.shape[1])
     acc = np.empty((3, m))
     scratch = np.empty((3, min(block, m), src.shape[1]))
     for i0 in range(0, m, block):
@@ -96,7 +114,7 @@ def direct_acceleration(pos, mass, eps2=0.0, targets=None, G=1.0,
     return G * acc.T
 
 
-def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=512):
+def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=None):
     """Acceleration and jerk (d a / d t) for the Hermite integrator.
 
     jerk_i = G Σ_j m_j [ v_ij / r³ - 3 (r_ij·v_ij) r_ij / r⁵ ]
@@ -105,6 +123,7 @@ def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=512):
     pos = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
     vel = np.ascontiguousarray(np.asarray(vel, dtype=float).T)
     n = pos.shape[1]
+    block = _block_rows(block, n)
     acc = np.empty((3, n))
     jerk = np.empty((3, n))
     scratch = np.empty((2, 3, min(block, n), n))
@@ -124,7 +143,7 @@ def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=512):
 
 
 def direct_potential(pos, mass, eps2=0.0, targets=None, G=1.0,
-                     block=1024):
+                     block=None):
     """Softened potential φ at the target points.
 
     When targets are the sources themselves the self term (m/ε) is
@@ -137,6 +156,7 @@ def direct_potential(pos, mass, eps2=0.0, targets=None, G=1.0,
         np.asarray(targets, dtype=float).T
     )
     m = tgt.shape[1]
+    block = _block_rows(block, src.shape[1])
     phi = np.empty(m)
     scratch = np.empty((3, min(block, m), src.shape[1]))
     for i0 in range(0, m, block):
@@ -172,12 +192,6 @@ _OCTANT_SIGN = np.array(
     [[1.0 if octant & bit else -1.0 for bit in (4, 2, 1)]
      for octant in range(8)]
 )
-
-#: most (target, source) pairs one step of a tree walk, or one block of
-#: the direct field, holds at once: longer pair lists are cut into
-#: pieces of about this length, which bounds the working memory
-#: independently of N and theta
-_PAIR_CHUNK = 1 << 15
 
 
 def _segment_positions(starts, counts):
@@ -410,7 +424,7 @@ class Octree:
 #:
 #:   ======  =====  ==============  =====================
 #:        N   tree  direct, block   direct, block sized
-#:                  of 1024 rows    from N (this field)
+#:                  of 1024 rows    from N (the default)
 #:   ======  =====  ==============  =====================
 #:      256    3.2             1.0                    0.9
 #:      512    6.7             3.8                    3.2
@@ -420,12 +434,13 @@ class Octree:
 #:     8192  798.7          1507.1                  524.4
 #:   ======  =====  ==============  =====================
 #:
-#: 1024 is the last N at which the direct kernel at its default block
+#: 1024 is the last N at which the direct kernel at a 1024-row block
 #: still wins.
-#: The field's own block (``_PAIR_CHUNK`` pairs, in cache) still wins
-#: at 8192, so the bound is conservative; it stays below the 2 500 gas
-#: of the paper-scale cluster, which keeps the tree, until the tree's
-#: own rules (monopole leaves, ``leaf_size``) are measured against it.
+#: A block of ``_PAIR_CHUNK`` pairs (in cache; every direct kernel's
+#: default) still wins at 8192, so the bound is conservative; it stays
+#: below the 2 500 gas of the paper-scale cluster, which keeps the tree,
+#: until the tree's own rules (monopole leaves, ``leaf_size``) are
+#: measured against it.
 _DIRECT_MAX = 1024
 
 
@@ -443,12 +458,10 @@ class _DirectField:
         self.mass = np.asarray(mass, dtype=float)
         if self.pos.ndim != 2 or self.pos.shape[1] != 3:
             raise ValueError("positions must be (N, 3)")
-        self.block = max(1, _PAIR_CHUNK // max(1, len(self.pos)))
 
     def accelerations(self, targets=None, theta=0.6, eps2=0.0, G=1.0):
         """Direct-sum acceleration at the target points."""
-        return direct_acceleration(self.pos, self.mass, eps2, targets, G,
-                                   self.block)
+        return direct_acceleration(self.pos, self.mass, eps2, targets, G)
 
     def potentials(self, targets=None, theta=0.6, eps2=0.0, G=1.0):
         """Direct-sum potential at the target points."""
@@ -457,10 +470,11 @@ class _DirectField:
             np.asarray(targets, dtype=float).T
         )
         m = tgt.shape[1]
+        block = _block_rows(None, src.shape[1])
         phi = np.empty(m)
-        scratch = np.empty((3, min(self.block, m), src.shape[1]))
-        for i0 in range(0, m, self.block):
-            i1 = min(i0 + self.block, m)
+        scratch = np.empty((3, min(block, m), src.shape[1]))
+        for i0 in range(0, m, block):
+            i1 = min(i0 + block, m)
             d = _pair_offsets(src, tgt, i0, i1, scratch)
             r = np.sqrt(_softened_r2(d, eps2))
             m_r = np.divide(self.mass, r, out=r)

@@ -10,6 +10,19 @@ combining different models".  This module provides that machinery:
 * :class:`Quantity` — a number (scalar or :class:`numpy.ndarray`) tagged
   with a :class:`Unit`.  All arithmetic is dimension checked.
 
+Dimensions are canonical: a unit's ``powers`` is a tuple of
+:class:`~fractions.Fraction`, and every unit with the same dimension holds
+the *same* tuple object (``(m / s).powers is (km / hour).powers``).  A
+dimension is normalised once, the first time it is seen; after that,
+building a unit from it is an identity lookup, ``*``, ``/`` and ``**`` look
+the result dimension up once per operand pair, and comparing two equal
+dimensions (``==``, :meth:`Unit.conversion_factor_to`, ``is_generic``,
+``is_dimensionless``) is a row of pointer compares.  The scale factors are
+plain floats and their arithmetic is unchanged.  The tables grow with the
+number of distinct dimensions (and ``**`` exponents) seen, and fill
+through ``dict.setdefault`` so threads racing on a new dimension agree on
+one tuple.
+
 AMUSE idioms are kept:
 
 >>> from repro.units import units
@@ -38,7 +51,6 @@ __all__ = [
 # *generic* N-body dimensions (mass, length, time) used by nbody_system.
 BASE_SYMBOLS = ("kg", "m", "s", "A", "K", "mol", "cd", "⟨m⟩", "⟨l⟩", "⟨t⟩")
 N_BASE = len(BASE_SYMBOLS)
-_ZERO_POWERS = (Fraction(0),) * N_BASE
 
 # Indices of the generic dimensions inside the powers vector.
 GENERIC_MASS, GENERIC_LENGTH, GENERIC_TIME = 7, 8, 9
@@ -58,8 +70,60 @@ class IncompatibleUnitsError(ValueError):
         self.right = right
 
 
-def _as_fraction_tuple(powers):
-    return tuple(Fraction(p) for p in powers)
+# -- canonical dimensions ---------------------------------------------------
+
+#: exponent value -> the one Fraction object used for it
+_EXPONENTS = {}
+#: dimension vector (tuple of Fraction) -> the canonical tuple equal to it
+_DIMENSIONS = {}
+#: id of a canonical tuple -> that tuple (canonical tuples live forever, so
+#: their ids are never reused)
+_CANONICAL = {}
+#: (id, id) -> canonical sum / difference of the two dimension vectors
+_PRODUCTS = {}
+_QUOTIENTS = {}
+#: (id, exponent as given) -> (canonical scaled vector, float exponent)
+_POWERS = {}
+
+
+def _canonical(powers):
+    """The canonical tuple of Fractions equal to *powers*."""
+    canonical = _CANONICAL.get(id(powers))
+    if canonical is powers:
+        return canonical
+    key = tuple(_EXPONENTS.setdefault(f, f) for f in map(Fraction, powers))
+    canonical = _DIMENSIONS.setdefault(key, key)
+    _CANONICAL.setdefault(id(canonical), canonical)
+    return canonical
+
+
+def _product(a, b):
+    result = _PRODUCTS.get((id(a), id(b)))
+    if result is None:
+        result = _PRODUCTS.setdefault((id(a), id(b)), _canonical(
+            tuple(x + y for x, y in zip(a, b, strict=True))))
+    return result
+
+
+def _quotient(a, b):
+    result = _QUOTIENTS.get((id(a), id(b)))
+    if result is None:
+        result = _QUOTIENTS.setdefault((id(a), id(b)), _canonical(
+            tuple(x - y for x, y in zip(a, b, strict=True))))
+    return result
+
+
+def _power(a, exponent):
+    result = _POWERS.get((id(a), exponent))
+    if result is None:
+        fraction = Fraction(exponent).limit_denominator(1000000)
+        result = _POWERS.setdefault((id(a), exponent), (
+            _canonical(tuple(p * fraction for p in a)), float(fraction)))
+    return result
+
+
+_ZERO_POWERS = _canonical((0,) * N_BASE)
+_NO_GENERIC = _ZERO_POWERS[GENERIC_MASS:]
 
 
 class Unit:
@@ -81,11 +145,14 @@ class Unit:
 
     def __init__(self, factor, powers, symbol=None):
         object.__setattr__(self, "factor", float(factor))
-        object.__setattr__(self, "powers", _as_fraction_tuple(powers))
+        object.__setattr__(self, "powers", _canonical(powers))
         object.__setattr__(self, "symbol", symbol)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Unit instances are immutable")
+
+    def __reduce__(self):
+        return Unit, (self.factor, self.powers, self.symbol)
 
     # -- identity ---------------------------------------------------------
 
@@ -111,10 +178,7 @@ class Unit:
     @property
     def is_generic(self):
         """True when the unit involves any generic (N-body) dimension."""
-        return any(
-            self.powers[i] != 0
-            for i in (GENERIC_MASS, GENERIC_LENGTH, GENERIC_TIME)
-        )
+        return self.powers[GENERIC_MASS:] != _NO_GENERIC
 
     def has_same_base_as(self, other):
         """True when *other* has identical dimension exponents."""
@@ -126,8 +190,7 @@ class Unit:
         if isinstance(other, Unit):
             return Unit(
                 self.factor * other.factor,
-                tuple(a + b for a, b in
-                      zip(self.powers, other.powers, strict=True)),
+                _product(self.powers, other.powers),
             )
         if isinstance(other, (int, float)):
             return Unit(self.factor * other, self.powers)
@@ -143,8 +206,7 @@ class Unit:
         if isinstance(other, Unit):
             return Unit(
                 self.factor / other.factor,
-                tuple(a - b for a, b in
-                      zip(self.powers, other.powers, strict=True)),
+                _quotient(self.powers, other.powers),
             )
         if isinstance(other, (int, float)):
             return Unit(self.factor / other, self.powers)
@@ -153,18 +215,15 @@ class Unit:
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
             return Unit(
-                other / self.factor, tuple(-p for p in self.powers)
+                other / self.factor, _quotient(_ZERO_POWERS, self.powers)
             )
         if isinstance(other, (np.ndarray, list, tuple)):
             return Quantity(np.asarray(other, dtype=float), self ** -1)
         return NotImplemented
 
     def __pow__(self, exponent):
-        exponent = Fraction(exponent).limit_denominator(1000000)
-        return Unit(
-            self.factor ** float(exponent),
-            tuple(p * exponent for p in self.powers),
-        )
+        powers, exponent = _power(self.powers, exponent)
+        return Unit(self.factor ** exponent, powers)
 
     def __ror__(self, value):
         """``value | unit`` — the AMUSE quantity constructor."""
@@ -263,6 +322,9 @@ class Quantity:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Quantity instances are immutable")
+
+    def __reduce__(self):
+        return Quantity, (self.number, self.unit)
 
     # -- basic properties --------------------------------------------------
 

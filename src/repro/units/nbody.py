@@ -12,6 +12,14 @@ The converter solves, in log space, for the mass/length/time scale factors
 G = 1 holds:  each anchor with SI dimension exponents (a_kg, a_m, a_s)
 yields one linear equation  a_kg·x_M + a_m·x_L + a_s·x_T = ln(value_SI),
 and the G constraint contributes  -x_M + 3·x_L - 2·x_T = ln(G_SI).
+
+A conversion is resolved once per source dimension: the first
+:meth:`~ConvertBetweenGenericAndSiUnits.to_si` (or ``to_nbody``) of a
+quantity in a given dimension computes its scale factor and target unit and
+the converter keeps them, keyed by the canonical dimension vector (see
+:mod:`repro.units.core`).  Every call, first or not, then does the same float
+arithmetic, ``number * unit.factor * factor``, so a cached conversion is
+bit-identical to an uncached one.
 """
 
 from __future__ import annotations
@@ -125,6 +133,15 @@ class ConvertBetweenGenericAndSiUnits:
             solution
         )
 
+        # id of a canonical dimension vector -> (factor, target unit)
+        self._si_targets = {}
+        self._nbody_targets = {}
+
+    def __getstate__(self):
+        # The caches are keyed by object ids, which mean nothing in the
+        # process that unpickles this converter.
+        return {**self.__dict__, "_si_targets": {}, "_nbody_targets": {}}
+
     # -- scale lookup -------------------------------------------------------
 
     def _scales(self):
@@ -134,10 +151,8 @@ class ConvertBetweenGenericAndSiUnits:
             GENERIC_TIME: self.time_scale,
         }
 
-    def to_si(self, quantity):
-        """Convert a (partly) generic quantity to pure SI."""
-        base = quantity.in_base()
-        powers = list(base.unit.powers)
+    def _si_target(self, powers):
+        powers = list(powers)
         factor = 1.0
         for g_idx, scale in self._scales().items():
             p = powers[g_idx]
@@ -145,12 +160,10 @@ class ConvertBetweenGenericAndSiUnits:
                 factor *= scale ** float(p)
                 powers[_GENERIC_TO_SI[g_idx]] += p
                 powers[g_idx] = 0
-        return Quantity(base.number * factor, Unit(1.0, powers))
+        return factor, Unit(1.0, powers)
 
-    def to_nbody(self, quantity):
-        """Convert a (partly) SI quantity to pure generic units."""
-        base = quantity.in_base()
-        powers = list(base.unit.powers)
+    def _nbody_target(self, powers):
+        powers = list(powers)
         factor = 1.0
         for g_idx, scale in self._scales().items():
             si_idx = _GENERIC_TO_SI[g_idx]
@@ -159,7 +172,27 @@ class ConvertBetweenGenericAndSiUnits:
                 factor /= scale ** float(p)
                 powers[g_idx] += p
                 powers[si_idx] = 0
-        return Quantity(base.number * factor, Unit(1.0, powers))
+        return factor, Unit(1.0, powers)
+
+    def to_si(self, quantity):
+        """Convert a (partly) generic quantity to pure SI."""
+        unit = quantity.unit
+        target = self._si_targets.get(id(unit.powers))
+        if target is None:
+            target = self._si_targets.setdefault(
+                id(unit.powers), self._si_target(unit.powers))
+        factor, si_unit = target
+        return Quantity(quantity.number * unit.factor * factor, si_unit)
+
+    def to_nbody(self, quantity):
+        """Convert a (partly) SI quantity to pure generic units."""
+        unit = quantity.unit
+        target = self._nbody_targets.get(id(unit.powers))
+        if target is None:
+            target = self._nbody_targets.setdefault(
+                id(unit.powers), self._nbody_target(unit.powers))
+        factor, nbody_unit = target
+        return Quantity(quantity.number * unit.factor * factor, nbody_unit)
 
     to_generic = to_nbody
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codes.kernels import (
     _DIRECT_MAX,
+    _PAIR_CHUNK,
     Octree,
     direct_acc_jerk,
     direct_acceleration,
@@ -62,6 +63,31 @@ class TestDirect:
         a1 = direct_acceleration(pos, mass, eps2=1e-4, block=7)
         a2 = direct_acceleration(pos, mass, eps2=1e-4, block=4096)
         assert np.allclose(a1, a2)
+
+    def test_default_block_is_sized_from_n(self):
+        """Without ``block=`` every direct kernel takes about
+        ``_PAIR_CHUNK`` pairs per block: the same results as that block
+        passed explicitly, and a pair scratch of ~1.5 MiB at
+        ``_DIRECT_MAX`` instead of 25-40 MiB for 512 / 1024 rows."""
+        import tracemalloc
+
+        pos, mass = _plummer(_DIRECT_MAX)
+        vel = np.random.default_rng(5).normal(size=pos.shape)
+        rows = _PAIR_CHUNK // _DIRECT_MAX
+        runs = [
+            (lambda **kw: direct_acceleration(pos, mass, 1e-4, **kw)),
+            (lambda **kw: direct_potential(pos, mass, 1e-4, **kw)),
+            (lambda **kw: direct_acc_jerk(pos, vel, mass, 1e-4, **kw)),
+        ]
+        for run in runs:
+            assert np.array_equal(run(), run(block=rows))
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2 ** 20, (run, peak)
 
     def test_g_scaling(self, system):
         pos, vel, mass = system

@@ -1,10 +1,18 @@
 """Unit and Quantity algebra tests (repro.units.core)."""
 
+import copy
+import pickle
+import threading
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.units import IncompatibleUnitsError, Quantity, units
+from repro.units import (
+    IncompatibleUnitsError, Quantity, Unit, nbody_system, units,
+)
+from repro.units import core
 from repro.units.core import NONE_UNIT, to_quantity
 
 
@@ -232,3 +240,91 @@ class TestUnitProperties:
     def test_power_laws(self, n):
         unit = units.m ** n
         assert unit.powers[1] == n
+
+
+class TestCanonicalDimensions:
+    """Every unit of one dimension holds the same ``powers`` tuple, so a
+    dimension is normalised once and compared by pointer afterwards."""
+
+    def test_equal_dimensions_share_one_tuple(self):
+        assert (units.m / units.s).powers is (units.km / units.hour).powers
+        assert (60 * units.s).powers is units.s.powers
+        assert ((units.m ** 2) ** 0.5).powers is units.m.powers
+        assert (1 / units.s).powers is (units.s ** -1).powers
+
+    def test_powers_stay_a_tuple_of_fractions(self):
+        listed = [0] * len(units.m.powers)
+        listed[1] = 1
+        rebuilt = Unit(2.0, listed)
+        assert rebuilt.powers is units.m.powers
+        assert type(rebuilt.powers) is tuple
+        assert all(type(p) is Fraction for p in rebuilt.powers)
+
+    def test_tables_stop_growing_after_warm_up(self):
+        conv = nbody_system.nbody_to_si(1000.0 | units.MSun,
+                                        1.0 | units.parsec)
+        scalar = 1.5 | units.parsec
+        vector = Quantity(np.ones((4, 3)), units.kms)
+
+        def work():
+            conv.to_si(conv.to_nbody(scalar))
+            conv.to_si(conv.to_nbody(vector))
+            (units.m / units.s) * units.kg ** 2 / units.hour
+            (1 / units.s) ** 0.5
+
+        def sizes():
+            return [len(table) for table in (
+                core._EXPONENTS, core._DIMENSIONS, core._CANONICAL,
+                core._PRODUCTS, core._QUOTIENTS, core._POWERS,
+                conv._si_targets, conv._nbody_targets,
+            )]
+
+        work()
+        before = sizes()
+        for _ in range(10_000):
+            work()
+        assert sizes() == before
+
+    def test_threads_agree_on_a_new_dimension(self):
+        # an exponent no other test builds: the dimension is new here
+        exponent = Fraction(4099, 7919)
+        barrier = threading.Barrier(8)
+        built = [None] * 8
+
+        def build(k):
+            powers = [0] * len(units.m.powers)
+            powers[4] = exponent
+            barrier.wait()
+            built[k] = (Unit(1.0, powers).powers,
+                        (units.cd ** exponent).powers)
+
+        threads = [threading.Thread(target=build, args=(k,))
+                   for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(b[0] is built[0][0] for b in built)
+        assert all(b[1] is built[0][1] for b in built)
+
+
+class TestPickleAndCopy:
+    def test_unit_round_trip_is_canonical(self):
+        for unit in (units.parsec, units.kms, NONE_UNIT, units.m ** -1.5):
+            back = pickle.loads(pickle.dumps(unit))
+            assert back == unit
+            assert back.powers is unit.powers
+            assert repr(back) == repr(unit)
+
+    def test_quantity_round_trip(self):
+        scalar = 2.5 | units.parsec
+        vector = Quantity(np.arange(6.0).reshape(2, 3), units.kms)
+        for q in (scalar, vector):
+            for back in (pickle.loads(pickle.dumps(q)), copy.deepcopy(q),
+                         copy.copy(q)):
+                assert np.array_equal(back.number, q.number)
+                assert back.unit == q.unit
+                assert back.unit.powers is q.unit.powers
+        deep = copy.deepcopy(vector)
+        deep.number[0, 0] = -1.0
+        assert vector.number[0, 0] == 0.0

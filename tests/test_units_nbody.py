@@ -1,10 +1,12 @@
 """Generic (N-body) units and the nbody<->SI converter."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.units import constants, nbody_system, units
+from repro.units import Quantity, constants, nbody_system, units
 
 
 @pytest.fixture
@@ -112,3 +114,44 @@ class TestGenericUnits:
     def test_derived_generic_units(self):
         e = (1 | nbody_system.mass) * (1 | nbody_system.speed) ** 2
         assert e.unit.powers == nbody_system.energy.powers
+
+
+class TestResolvedOncePerDimension:
+    """The converter keeps (factor, target unit) per source dimension and
+    still does today's float operations in today's order."""
+
+    def test_to_nbody_is_the_explicit_product(self, sun_earth):
+        factor = 1.0
+        factor /= sun_earth.length_scale ** 1.0
+        factor /= sun_earth.time_scale ** -1.0
+        rng = np.random.default_rng(3)
+        for number in (29.78, rng.normal(size=(50, 3))):
+            q = Quantity(number, units.kms)
+            for _ in range(2):          # the first call fills the cache
+                out = sun_earth.to_nbody(q)
+                assert np.array_equal(
+                    out.number, number * units.kms.factor * factor)
+                assert out.unit == nbody_system.length / nbody_system.time
+
+    def test_to_si_is_the_explicit_product(self, sun_earth):
+        factor = 1.0
+        factor *= sun_earth.mass_scale ** 1.0
+        factor *= sun_earth.length_scale ** 2.0
+        factor *= sun_earth.time_scale ** -2.0
+        scaled = 3.0 * nbody_system.energy
+        rng = np.random.default_rng(4)
+        for number in (0.25, rng.normal(size=(50, 3))):
+            q = Quantity(number, scaled)
+            for _ in range(2):
+                out = sun_earth.to_si(q)
+                assert np.array_equal(
+                    out.number, number * scaled.factor * factor)
+                assert out.unit == units.kg * units.m ** 2 / units.s ** 2
+
+    def test_pickled_converter_forgets_its_cache(self, sun_earth):
+        q = 1.0 | units.parsec
+        before = sun_earth.to_nbody(q)
+        back = pickle.loads(pickle.dumps(sun_earth))
+        assert back._si_targets == {} and back._nbody_targets == {}
+        after = back.to_nbody(q)
+        assert after.number == before.number and after.unit == before.unit
