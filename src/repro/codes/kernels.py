@@ -144,15 +144,16 @@ def direct_acc_jerk(pos, vel, mass, eps2=0.0, G=1.0, block=None):
 
 def direct_potential(pos, mass, eps2=0.0, targets=None, G=1.0,
                      block=None):
-    """Softened potential φ at the target points.
+    """Softened potential φ at the target points (the sources when
+    *targets* is None).
 
-    When targets are the sources themselves the self term (m/ε) is
-    excluded.
+    A target at exactly zero separation from a source gets nothing
+    from it, the octree's self-hit rule, so a particle's own m/ε stays
+    out of its potential.
     """
     mass = np.asarray(mass, dtype=float)
     src = np.ascontiguousarray(np.asarray(pos, dtype=float).T)
-    self_eval = targets is None
-    tgt = src if self_eval else np.ascontiguousarray(
+    tgt = src if targets is None else np.ascontiguousarray(
         np.asarray(targets, dtype=float).T
     )
     m = tgt.shape[1]
@@ -164,8 +165,9 @@ def direct_potential(pos, mass, eps2=0.0, targets=None, G=1.0,
         d = _pair_offsets(src, tgt, i0, i1, scratch)
         r = np.sqrt(_softened_r2(d, eps2))
         m_r = np.divide(mass, r, out=r)
-        if self_eval and eps2 > 0:
-            m_r[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
+        if eps2 > 0:
+            # unsoftened, _softened_r2 already made these pairs inf
+            m_r[~d.any(axis=0)] = 0.0
         np.sum(m_r, axis=1, out=phi[i0:i1])
     return -G * phi
 
@@ -465,22 +467,7 @@ class _DirectField:
 
     def potentials(self, targets=None, theta=0.6, eps2=0.0, G=1.0):
         """Direct-sum potential at the target points."""
-        src = np.ascontiguousarray(self.pos.T)
-        tgt = src if targets is None else np.ascontiguousarray(
-            np.asarray(targets, dtype=float).T
-        )
-        m = tgt.shape[1]
-        block = _block_rows(None, src.shape[1])
-        phi = np.empty(m)
-        scratch = np.empty((3, min(block, m), src.shape[1]))
-        for i0 in range(0, m, block):
-            i1 = min(i0 + block, m)
-            d = _pair_offsets(src, tgt, i0, i1, scratch)
-            r = np.sqrt(_softened_r2(d, eps2))
-            m_r = np.divide(self.mass, r, out=r)
-            m_r[~d.any(axis=0)] = 0.0
-            np.sum(m_r, axis=1, out=phi[i0:i1])
-        return -G * phi
+        return direct_potential(self.pos, self.mass, eps2, targets, G)
 
 
 def gravity_field(pos, mass, leaf_size=16):

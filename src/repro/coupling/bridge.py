@@ -8,20 +8,20 @@ kicks ("p-kicks") computed by the *coupling model* (Octgrav on a GPU or
 Fi on a CPU).
 
 :class:`Bridge` implements that second-order kick–drift–kick operator
-splitting (Fujii et al. 2007).  In async mode each step runs as a
+splitting (Fujii et al. 2007).  Each step runs as one
 :class:`~repro.rpc.taskgraph.TaskGraph` with *per-edge* joins instead
-of three phase barriers: per system the chain is ``kick1 → drift →
-kick2``, and a system's second kick additionally waits only for the
-drifts of the systems that SOURCE its coupling fields.  Systems whose
-partner graphs are disjoint therefore pipeline independently — a fast
-code's kicks ride the slack of the slowest drift (paper Fig. 7's
-uneven per-model costs) instead of queueing at a global barrier.  The
-numerics are identical to the barrier schedule: every field
-evaluation still reads exactly the mirror state the operator
-splitting prescribes, because the graph edges encode precisely those
-data dependencies.  This is the inter-model parallelism that makes
-the paper's jungle scenario 4 faster than any single-resource
-scenario.
+of phase barriers: per system the chain is ``kick1 → drift → kick2``,
+a drift also waits for the first-kick field queries against its own
+worker, and a system's second kick waits only for the drifts of the
+systems that SOURCE its coupling fields.  Systems whose partner graphs
+are disjoint therefore pipeline independently — a fast code's kicks
+ride the slack of the slowest drift (paper Fig. 7's uneven per-model
+costs) instead of queueing at a global barrier.  The edges are exactly
+the operator splitting's data dependencies, so every field evaluation
+reads the mirror state it prescribes: first kicks see pre-drift
+positions, second kicks post-drift ones.  This is the inter-model
+parallelism that makes the paper's jungle scenario 4 faster than any
+single-resource scenario.
 
 :class:`CouplingField` wraps a tree code as the field solver: before
 every kick it uploads the current source-particle configuration and
@@ -34,13 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..codes.group import EvolveGroup
-from ..rpc import (
-    AggregateRequestError,
-    Future,
-    TaskGraph,
-    remote_method,
-    wait_all,
-)
+from ..rpc import Future, TaskGraph, remote_method
 from ..units import nbody as nbody_system
 from ..units.core import Quantity
 
@@ -101,20 +95,18 @@ class Bridge:
     ----------
     timestep : Quantity (time)
         The bridge (outer) step; models sub-cycle internally.
-    use_async : bool
-        Schedule each step as a dependency-aware
-        :class:`~repro.rpc.taskgraph.TaskGraph` (parallel models with
-        per-edge joins, as in the paper).  Synchronous mode exists for
-        the coupler-bottleneck ablation benchmark.
     fault_policy : FaultPolicy, optional
         Passed to the step graph: ``RESTART`` lets a step survive a
         dying worker (respawn + replay + resume), ``IGNORE`` drops the
-        failed model's contribution for the step.  Default RAISE.
+        failed model's contribution for the step.  Default RAISE: a
+        failed field query or kick raises an
+        :class:`~repro.rpc.AggregateRequestError` after every launched
+        sibling kick has been joined, so no mirror diverges from its
+        worker.
     """
 
-    def __init__(self, timestep, use_async=True, fault_policy=None):
+    def __init__(self, timestep, fault_policy=None):
         self.timestep = timestep
-        self.use_async = use_async
         self.fault_policy = fault_policy
         self.systems = []          # (code, partners)
         self.time = None
@@ -145,120 +137,12 @@ class Bridge:
             out.add_particles(more.copy())
         return out
 
-    # -- phases ------------------------------------------------------------
-
-    def kick_systems(self, dt):
-        """Apply partner gravity to every system for interval *dt*.
-
-        All field evaluations are launched asynchronously first — the
-        uploads and queries of every (system, partner) pair pipeline
-        over the channels and overlap — then each system's kick is
-        launched as its accelerations resolve (one ``add_velocity``
-        round trip per code, overlapping across codes) and joined at
-        the end.
-        """
-        softening = Quantity(0.0, nbody_system.length)
-        pending = []
-        try:
-            for code, partners in self.systems:
-                if not partners or not len(code.particles):
-                    continue
-                pos = code.particles.position
-                eps = self._eps_for(code, softening)
-                futures = []
-                pending.append((code, futures))
-                for partner in partners:
-                    futures.append((
-                        partner,
-                        partner.get_gravity_at_point.async_(eps, pos),
-                    ))
-        except BaseException:
-            # a failed launch (stopped partner) must not leave the
-            # earlier systems' field futures dangling un-joined
-            for _code, futures in pending:
-                for _partner, future in futures:
-                    future.exception()
-            raise
-        # every launched kick future is ALWAYS joined below, even when
-        # a sibling's field query or kick fails — otherwise its
-        # in-flight 'kick' transition would strand and its mirror
-        # would diverge from the worker; the first error is re-raised
-        # after the joins
-        errors = []
-        kicks = []
-        kick_attempts = 0
-        for code, futures in pending:
-            total = None
-            failed = False
-            for partner, future in futures:
-                try:
-                    acc = future.result()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    # name the FIELD PROVIDER that failed (the future's
-                    # description carries the field code's class), not
-                    # the system being kicked
-                    errors.append((
-                        getattr(future, "description", None)
-                        or f"{type(partner).__name__} field for "
-                           f"{type(code).__name__}",
-                        exc,
-                    ))
-                    failed = True
-                    continue
-                total = acc if total is None else total + acc
-            if failed or errors:
-                # after the first failure no FURTHER kicks are
-                # launched (kicks already in flight for earlier
-                # systems are still joined and mirrored below); the
-                # remaining field futures above still get joined
-                continue
-            dv = total * dt
-            kick_attempts += 1
-            try:
-                kicks.append((code, dv, code.kick.async_(dv)))
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors.append((f"{type(code).__name__}.kick", exc))
-        for code, dv, future in kicks:
-            try:
-                future.result()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                errors.append((f"{type(code).__name__}.kick", exc))
-                continue
-            # keep the local mirror coherent with the worker
-            code.particles.velocity = code.particles.velocity + dv
-        if errors:
-            # the same error surface as the drift phase's wait_all:
-            # one aggregate naming every failed model, out of all the
-            # field/kick calls this phase attempted
-            attempted = sum(
-                len(futures) for _c, futures in pending
-            ) + kick_attempts
-            raise AggregateRequestError(errors, total=attempted)
-        self.kick_count += 1
-
     def _eps_for(self, code, default):
         if self.systems and code.converter is not None:
             return code.converter.to_si(default)
         return default
 
-    def drift_systems(self, t_end):
-        """Evolve every system to *t_end*, in parallel when async.
-
-        The async path goes through the :class:`EvolveGroup`: every
-        code's ``evolve_model.async_`` future is launched, the workers
-        advance concurrently, and the join refreshes each mirror —
-        the inter-model parallelism of the paper's jungle scenario.
-        Synchronous mode evolves one code at a time (the
-        coupler-bottleneck ablation).
-        """
-        if self.use_async:
-            wait_all(self.group.evolve_async(t_end))
-        else:
-            for code, _ in self.systems:
-                code.evolve_model(t_end)
-        self.drift_count += 1
-
-    # -- DAG-scheduled step ------------------------------------------------
+    # -- the step graph ----------------------------------------------------
 
     def _system_names(self):
         """Stable unique display name per registered system."""
@@ -287,8 +171,8 @@ class Bridge:
         queries: a CouplingField queries its field code, a system code
         used directly as provider queries itself.  A first-kick query
         against a registered system's worker must therefore order
-        BEFORE that system's drift (the barrier schedule's kick phase
-        invariant)."""
+        BEFORE that system's drift, or it would read post-drift
+        state."""
         field_code = getattr(partner, "code", None)
         if field_code is not None and hasattr(partner, "sources"):
             return [field_code]
@@ -345,16 +229,15 @@ class Bridge:
         """One kick–drift–kick step as a TaskGraph with per-edge joins.
 
         Per system ``s``: ``kick1:s`` (field eval + kick) has no
-        dependencies (it reads the pre-drift mirrors, exactly like the
-        barrier schedule's first phase); ``drift:s`` follows its own
-        first kick plus any sibling's first-kick field query against
-        ``s``'s worker (so a pre-drift field read can never race the
+        dependencies (it reads the pre-drift mirrors); ``drift:s``
+        follows its own first kick plus any sibling's first-kick field
+        query against ``s``'s worker (so a pre-drift field read can never race the
         drift on a shared worker); ``kick2:s`` follows its own drift
         plus the drifts of every system sourcing its coupling fields —
         the minimal edges under which first kicks read pre-drift state
         and second kicks read post-drift state, so the numerics match
-        the barrier schedule while a fast chain never waits for an
-        unrelated slow one.
+        a barrier-ordered kick–drift–kick while a fast chain never
+        waits for an unrelated slow one.
         """
         half = dt * 0.5
         names = self._system_names()
@@ -446,12 +329,7 @@ class Bridge:
             remaining = t_end - self.time
             if remaining < dt:
                 dt = remaining
-            if self.use_async:
-                self._step_graph(dt)
-            else:
-                self.kick_systems(dt * 0.5)
-                self.drift_systems(self.time + dt)
-                self.kick_systems(dt * 0.5)
+            self._step_graph(dt)
             self.time = self.time + dt
         return self.time
 

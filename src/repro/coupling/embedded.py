@@ -224,21 +224,23 @@ class EmbeddedClusterSimulation:
         k = min(self.feedback_neighbours, len(gas_pos))
         from scipy.spatial import cKDTree
 
-        tree = cKDTree(gas_pos)
         losers = np.flatnonzero(dm_msun > 0)
-        du_j_per_kg = np.zeros(len(gas_pos))
+        # one query for every losing star; k == 1 returns a flat array
+        _, neigh = cKDTree(gas_pos).query(star_pos[losers], k=k)
+        neigh = neigh.reshape(len(losers), k)
         wind_v = self.wind_speed.value_in(u.m / u.s)
-        for star_idx in losers:
-            _, neigh = tree.query(star_pos[star_idx], k=k)
-            neigh = np.atleast_1d(neigh)
-            if exploded[star_idx]:
-                energy = self.sn_efficiency * SN_ENERGY.value_in(u.J)
-            else:
-                dm_kg = dm_msun[star_idx] * u.MSun.factor
-                energy = 0.5 * dm_kg * wind_v ** 2
-            du_j_per_kg[neigh] += energy / (
-                gas_mass_kg[neigh].sum()
-            )
+        energy = np.where(
+            exploded[losers],
+            self.sn_efficiency * SN_ENERGY.value_in(u.J),
+            0.5 * (dm_msun[losers] * u.MSun.factor) * wind_v ** 2,
+        )
+        # np.add.at, not a fancy-indexed +=: a gas particle near several
+        # stars gets every deposit, summed in star order
+        du_j_per_kg = np.zeros(len(gas_pos))
+        np.add.at(
+            du_j_per_kg, neigh,
+            (energy / gas_mass_kg[neigh].sum(axis=1))[:, None],
+        )
         targets = np.flatnonzero(du_j_per_kg > 0)
         if len(targets):
             self.hydro.inject_energy(

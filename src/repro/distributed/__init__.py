@@ -37,15 +37,17 @@ Public surface:
   single-tenant session.
 * The modeled wide-area side: :class:`DistributedAmuse`,
   :class:`ResourceSpec`, :class:`Pilot`, :class:`JungleRunner`,
-  :class:`FaultPolicy`, :class:`WorkerDiedError` and
-  :func:`discover_placement` — reservation/queueing semantics of the
-  paper's testbed, independent of the live daemon.
+  :class:`WorkerDiedError` and :func:`discover_placement` —
+  reservation/queueing semantics of the paper's testbed, independent
+  of the live daemon.  :class:`FaultPolicy` is re-exported from
+  :mod:`repro.rpc`: pilots take ``RAISE`` (the paper's crash) or
+  ``RESTART``, the same enum the step graph takes.
 """
 
 from .channel import DistributedChannel
+from ..rpc.taskgraph import FaultPolicy
 from .core import (
     DistributedAmuse,
-    FaultPolicy,
     JungleRunner,
     Pilot,
     ResourceSpec,

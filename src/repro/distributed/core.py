@@ -15,41 +15,33 @@ This module reproduces the orchestration side of the prototype:
 * :class:`JungleRunner` — executes the *real* coupled simulation while
   charging *modeled* time per iteration from the calibrated cost model,
   which is how the Sec. 6.2 scenario table is regenerated;
-* fault behaviour: by default a dying pilot crashes the whole
-  simulation ("If a reservation ends ... we cannot recover from this
-  fault, and the entire simulation crashes"), while
-  ``FaultPolicy.RESTART`` implements the transparent-replacement future
-  work the paper sketches.
+* fault behaviour, with the same :class:`~repro.rpc.taskgraph.FaultPolicy`
+  the step graph takes: by default (``RAISE``) a dying pilot crashes
+  the whole simulation ("If a reservation ends ... we cannot recover
+  from this fault, and the entire simulation crashes"), while
+  ``RESTART`` implements the transparent-replacement future work the
+  paper sketches.
 """
 
 from __future__ import annotations
-
-import enum
 
 from ..ibis.deploy import ApplicationDescription, Deploy
 from ..ibis.gat import JobState
 from ..ibis.ipl import Ibis, ONE_TO_ONE_OBJECT
 from ..jungle.perfmodel import CostModel, IterationWorkload, Placement
+from ..rpc.taskgraph import FaultPolicy
 
 __all__ = [
     "ResourceSpec",
     "Pilot",
     "DistributedAmuse",
     "JungleRunner",
-    "FaultPolicy",
     "WorkerDiedError",
 ]
 
 
 class WorkerDiedError(RuntimeError):
-    """A worker's resource disappeared and the policy is CRASH."""
-
-
-class FaultPolicy(enum.Enum):
-    #: paper behaviour: "the entire simulation crashes"
-    CRASH = "crash"
-    #: paper future work: "transparently find a replacement machine"
-    RESTART = "restart"
+    """A worker's resource disappeared and the policy is RAISE."""
 
 
 class ResourceSpec:
@@ -114,7 +106,12 @@ class DistributedAmuse:
     """
 
     def __init__(self, jungle, client_host, pool="amuse",
-                 fault_policy=FaultPolicy.CRASH):
+                 fault_policy=FaultPolicy.RAISE):
+        if fault_policy not in (FaultPolicy.RAISE, FaultPolicy.RESTART):
+            raise ValueError(
+                f"unsupported pilot fault policy {fault_policy!r}; "
+                "known: RAISE, RESTART"
+            )
         self.jungle = jungle
         self.client_host = client_host
         self.deploy = Deploy(jungle, client_host, pool=pool)
@@ -257,10 +254,10 @@ class DistributedAmuse:
         return None
 
     def check_alive(self):
-        """Raise per the CRASH policy when any pilot has died."""
+        """Raise per the RAISE policy when any pilot has died."""
         for pilot in self.pilots.values():
             if not pilot.alive:
-                if self.fault_policy is FaultPolicy.CRASH:
+                if self.fault_policy is FaultPolicy.RAISE:
                     raise WorkerDiedError(
                         f"worker {pilot.role} on "
                         f"{pilot.resource.name} disappeared; the "
@@ -303,61 +300,32 @@ class JungleRunner:
     per-iteration estimate, so monitoring/traffic/timing come out
     paper-shaped while the physics output stays real.
 
-    Concurrency-aware accounting (paper Sec. 6.2): when the wrapped
-    simulation drifts its models asynchronously (the TaskGraph bridge,
-    ``bridge.use_async``), the modeled per-iteration time charges the
-    schedule's CRITICAL PATH — per-model kick→drift→kick chains joined
-    per edge (``schedule="dag"``) — instead of kick-barrier plus one
-    drift barrier; the serialized prototype keeps barrier accounting
-    with ``sum()`` over the drifts.  ``overlap_drift=None`` (default)
-    infers this from the simulation's bridge; pass True/False to force
-    either accounting (True = barrier-with-overlap ``max()``, the
-    pre-DAG async coupler), and *schedule* to pin the schedule
-    explicitly (e.g. to reproduce the paper's numbers with an async
-    simulation).
+    Concurrency-aware accounting (paper Sec. 6.2): a wrapped
+    simulation's :class:`~repro.coupling.bridge.Bridge` runs every step
+    as a TaskGraph, so its iterations charge the schedule's CRITICAL
+    PATH — per-model kick→drift→kick chains joined per edge
+    (``schedule="dag"``).  Without a simulation (``None``: modeled
+    time only) the runner charges the paper's prototype, a kick
+    barrier plus ``sum()`` over sequentially issued drifts
+    (``schedule="barrier"``).
     """
 
-    def __init__(self, simulation, damuse, workload=None,
-                 overlap_drift=None, schedule=None):
+    def __init__(self, simulation, damuse, workload=None):
         self.simulation = simulation
         self.damuse = damuse
         self.workload = workload or IterationWorkload()
         self.cost_model = CostModel(damuse.jungle)
-        #: None = infer live from the bridge on every read, so
-        #: toggling bridge.use_async mid-run (ablations) is honored
-        self._overlap_override = overlap_drift
-        self._schedule_override = schedule
         self.iteration_costs = []
-
-    @property
-    def overlap_drift(self):
-        if self._overlap_override is not None:
-            return bool(self._overlap_override)
-        bridge = getattr(self.simulation, "bridge", None)
-        return bool(getattr(bridge, "use_async", False))
-
-    @property
-    def schedule(self):
-        """Coupling-point accounting: "dag" (critical path over
-        per-model chains) when the bridge schedules its steps on a
-        TaskGraph, "barrier" otherwise.  An explicit
-        ``overlap_drift=`` override pins the pre-DAG barrier
-        accounting it historically selected."""
-        if self._schedule_override is not None:
-            return self._schedule_override
-        if self._overlap_override is not None:
-            return "barrier"
-        return "dag" if self.overlap_drift else "barrier"
 
     def run_iteration(self):
         """One outer iteration; returns the cost breakdown."""
         self.damuse.check_alive()
+        schedule = "barrier"
         if self.simulation is not None:
             self.simulation.evolve_one_iteration()
+            schedule = "dag"
         costs = self.cost_model.iteration_time(
-            self.workload, self.damuse.placement(),
-            overlap_drift=self.overlap_drift,
-            schedule=self.schedule,
+            self.workload, self.damuse.placement(), schedule=schedule,
         )
         env = self.damuse.jungle.env
         env.run(until=env.now + costs["total_s"])

@@ -34,10 +34,10 @@ evolving codes instead of ``sum()``) quantifies the improvement
 (ablation A3), and ``schedule="dag"`` charges the CRITICAL PATH of the
 TaskGraph bridge — per-model kick→drift→kick chains joined per edge,
 so each model's share of the coupling work rides the slack of the
-slowest drift.  Since the async-first API redesign,
-:class:`~repro.distributed.core.JungleRunner` selects the variant from
-the wrapped simulation's bridge: an async (TaskGraph) bridge gets
-critical-path accounting automatically.
+slowest drift.  :class:`~repro.distributed.core.JungleRunner` charges
+``"dag"`` whenever it drives a real simulation (its bridge runs every
+step as a TaskGraph) and the prototype's sequential ``"barrier"``
+when it models time alone.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ class CostModel:
 
         *schedule* selects the coupling-point accounting:
 
-        * ``"barrier"`` (default) — the pre-DAG bridge: the kick
+        * ``"barrier"`` (default) — the paper's prototype coupler: the kick
           phases serialize with the drift phase, which charges
           ``sum()`` (sequential) or ``max()`` (*overlap_drift*) over
           the models at ONE barrier.

@@ -86,7 +86,7 @@ class ConvertBetweenGenericAndSiUnits:
     --------
     >>> from repro.units import units, nbody_system
     >>> conv = nbody_system.nbody_to_si(1.0 | units.MSun, 1.0 | units.AU)
-    >>> round(conv.to_si(1.0 | nbody_system.time).value_in(units.yr), 3)
+    >>> round(float(conv.to_si(1.0 | nbody_system.time).value_in(units.yr)), 3)
     0.159
     """
 

@@ -681,8 +681,9 @@ class TestBridgeKickRecovery:
         bridge = Bridge(timestep=Quantity(0.01, units.Myr))
         bridge.add_system(a, [CouplingField(coupling, [b])])
         bridge.add_system(b, [broken])
-        with pytest.raises(RuntimeError, match="field worker died"):
-            bridge.kick_systems(0.005 | units.Myr)
+        with pytest.raises(AggregateRequestError,
+                           match="field worker died"):
+            bridge.evolve_model(0.01 | units.Myr)
         # a's kick was joined: no stranded transition, mirror matches
         # the worker
         assert a._inflight.inflight is None
@@ -733,24 +734,27 @@ class TestParametersProxy:
 
 class TestConcurrencyAccounting:
     def test_jungle_runner_infers_overlap_from_bridge(self):
+        """A driven simulation charges the step graph's critical path
+        (overlapped drifts); modeled time alone charges the paper's
+        sequential barrier."""
+        from repro.jungle import Placement
+
         jungle = make_lab_jungle()
-        damuse = SimpleNamespace(jungle=jungle)
-        sim_async = SimpleNamespace(
-            bridge=SimpleNamespace(use_async=True)
+        desktop = jungle.host("desktop")
+        placement = Placement(coupler_host=desktop)
+        for role in ("coupling", "gravity", "hydro", "se"):
+            placement.assign(role, desktop, channel="direct")
+        damuse = SimpleNamespace(
+            jungle=jungle, check_alive=lambda: True,
+            placement=lambda: placement,
         )
-        sim_sync = SimpleNamespace(
-            bridge=SimpleNamespace(use_async=False)
-        )
-        assert JungleRunner(sim_async, damuse).overlap_drift is True
-        assert JungleRunner(sim_sync, damuse).overlap_drift is False
-        assert JungleRunner(None, damuse).overlap_drift is False
-        assert JungleRunner(
-            sim_async, damuse, overlap_drift=False
-        ).overlap_drift is False
-        # inference is LIVE: toggling the bridge mid-run is honored
-        runner = JungleRunner(sim_async, damuse)
-        sim_async.bridge.use_async = False
-        assert runner.overlap_drift is False
+        sim = SimpleNamespace(evolve_one_iteration=lambda: None)
+        driven = JungleRunner(sim, damuse).run_iteration()
+        modeled = JungleRunner(None, damuse).run_iteration()
+        assert driven["schedule"] == "dag"
+        assert driven["overlap_drift"] is True
+        assert modeled["schedule"] == "barrier"
+        assert modeled["overlap_drift"] is False
 
 
 class TestCesmOverlap:

@@ -140,7 +140,7 @@ class TestIbisChannelHighLevel:
         ch.stop()
 
 
-def build_damuse(fault_policy=FaultPolicy.CRASH):
+def build_damuse(fault_policy=FaultPolicy.RAISE):
     jungle = make_sc11_jungle()
     damuse = DistributedAmuse(
         jungle, jungle.host("laptop"), fault_policy=fault_policy
@@ -211,15 +211,6 @@ class TestJungleRunner:
         assert len(runner.iteration_costs) == 2
         assert runner.modeled_elapsed_s > 0
 
-    def test_overlap_drift_variant_faster(self):
-        jungle, damuse = build_damuse()
-        damuse.wait_for_pilots()
-        seq = JungleRunner(None, damuse).run_iteration()["total_s"]
-        par = JungleRunner(
-            None, damuse, overlap_drift=True
-        ).run_iteration()["total_s"]
-        assert par < seq
-
 
 class TestFaults:
     def test_crash_policy_reproduces_paper_behaviour(self):
@@ -231,6 +222,16 @@ class TestFaults:
         with pytest.raises(WorkerDiedError):
             runner.run_iteration()
         assert damuse.fault_log[0][1] == "hydro"
+
+    def test_unsupported_policy_rejected(self):
+        """Pilots take the step graph's enum, but only RAISE (the
+        paper's crash) and RESTART mean anything for a pilot."""
+        jungle = make_sc11_jungle()
+        for policy in (FaultPolicy.IGNORE, "crash"):
+            with pytest.raises(ValueError, match="RAISE, RESTART"):
+                DistributedAmuse(
+                    jungle, jungle.host("laptop"), fault_policy=policy
+                )
 
     def test_dead_proxy_reported_to_registry(self):
         jungle, damuse = build_damuse()

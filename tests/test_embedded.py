@@ -1,10 +1,14 @@
 """Embedded-cluster simulation driver tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from repro.coupling import EmbeddedClusterSimulation
-from repro.units import units
+from repro.coupling.embedded import SN_ENERGY
+from repro.units import Quantity, units
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +196,70 @@ class TestGasPotentialHasNoSelfTerm:
         # worth; a self term appearing or vanishing is ~1.7x the value
         assert np.allclose(after, before, rtol=1e-9, atol=0)
         assert evolved.diagnostics()["bound_gas_fraction"] == fraction
+
+
+class TestFeedbackQuery:
+    """``_inject_feedback`` asks the kd-tree once for every losing
+    star; it must deposit exactly what one query per star did."""
+
+    @staticmethod
+    def _per_star_loop(sim, dm_msun, exploded):
+        gas_pos = sim.hydro.particles.position.value_in(units.m)
+        star_pos = sim.gravity.particles.position.value_in(units.m)
+        gas_mass_kg = sim.hydro.particles.mass.value_in(units.kg)
+        k = min(sim.feedback_neighbours, len(gas_pos))
+        tree = cKDTree(gas_pos)
+        du = np.zeros(len(gas_pos))
+        wind_v = sim.wind_speed.value_in(units.m / units.s)
+        for star_idx in np.flatnonzero(dm_msun > 0):
+            _, neigh = tree.query(star_pos[star_idx], k=k)
+            neigh = np.atleast_1d(neigh)
+            if exploded[star_idx]:
+                energy = sim.sn_efficiency * SN_ENERGY.value_in(units.J)
+            else:
+                dm_kg = dm_msun[star_idx] * units.MSun.factor
+                energy = 0.5 * dm_kg * wind_v ** 2
+            du[neigh] += energy / gas_mass_kg[neigh].sum()
+        return du
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_query_matches_per_star_loop(self, k, seed):
+        rng = np.random.default_rng(seed)
+        n_gas, n_stars = 40, 12
+        injected = {}
+        sim = SimpleNamespace(
+            hydro=SimpleNamespace(
+                particles=SimpleNamespace(
+                    position=Quantity(
+                        rng.normal(size=(n_gas, 3)) * 3e16, units.m
+                    ),
+                    mass=Quantity(
+                        rng.uniform(0.5, 2.0, n_gas), units.MSun
+                    ),
+                ),
+                inject_energy=lambda idx, du: injected.update(
+                    idx=idx, du=du.value_in(units.J / units.kg)
+                ),
+            ),
+            gravity=SimpleNamespace(particles=SimpleNamespace(
+                position=Quantity(
+                    rng.normal(size=(n_stars, 3)) * 3e16, units.m
+                ),
+            )),
+            feedback_neighbours=k,
+            wind_speed=Quantity(20.0, units.kms),
+            sn_efficiency=0.01,
+        )
+        # stars close together share neighbours, so deposits overlap
+        dm_msun = np.where(
+            rng.random(n_stars) < 0.7, rng.uniform(0, 1e-3, n_stars), 0.0
+        )
+        dm_msun[0] = 0.5
+        exploded = np.zeros(n_stars, dtype=bool)
+        exploded[0] = True
+        EmbeddedClusterSimulation._inject_feedback(sim, dm_msun, exploded)
+        expected = self._per_star_loop(sim, dm_msun, exploded)
+        targets = np.flatnonzero(expected > 0)
+        assert np.array_equal(injected["idx"], targets)
+        assert np.array_equal(injected["du"], expected[targets])

@@ -112,6 +112,9 @@ class TestDistributedEndToEnd:
             runner = JungleRunner(sim, damuse)
             costs = runner.run_iteration()
             assert costs["total_s"] > 0
+            # the simulation's bridge runs the step graph: charged as
+            # its critical path
+            assert costs["schedule"] == "dag"
             assert sim.iteration == 1
             monitor = damuse.monitor().snapshot()
             assert monitor["traffic_ipl"]

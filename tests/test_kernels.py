@@ -231,7 +231,9 @@ class TestOctree:
 
 
 def _pairwise_reference(pos, vel, mass, eps2):
-    """Acceleration, jerk and potential by an explicit double loop."""
+    """Acceleration, jerk and potential by an explicit double loop.
+    The potential follows the octree's self-hit rule: a source at zero
+    separation (itself, or a coincident particle) adds nothing."""
     n = len(pos)
     acc, jerk, phi = np.zeros((n, 3)), np.zeros((n, 3)), np.zeros(n)
     for i in range(n):
@@ -244,7 +246,8 @@ def _pairwise_reference(pos, vel, mass, eps2):
             jerk[i] += mass[j] * (
                 dv / r2 ** 1.5 - 3.0 * (dr @ dv) * dr / r2 ** 2.5
             )
-            phi[i] -= mass[j] / np.sqrt(r2)
+            if dr.any():
+                phi[i] -= mass[j] / np.sqrt(r2)
     return acc, jerk, phi
 
 
@@ -461,6 +464,10 @@ class TestGravityField:
                                tree.accelerations(points, eps2=eps2),
                                rtol=1e-13, atol=0)
             assert np.allclose(direct.potentials(points, eps2=eps2),
+                               tree.potentials(points, eps2=eps2),
+                               rtol=1e-13, atol=0)
+            # the free sum (PhiGRAPE's potential) has the same rule
+            assert np.allclose(direct_potential(pos, mass, eps2, points),
                                tree.potentials(points, eps2=eps2),
                                rtol=1e-13, atol=0)
         if case == "target on a source":

@@ -24,7 +24,7 @@ from repro.ibis.deploy import (
 from repro.jungle import make_lab_jungle, make_sc11_jungle
 
 
-def deployed_damuse(jungle=None, fault_policy=FaultPolicy.CRASH):
+def deployed_damuse(jungle=None, fault_policy=FaultPolicy.RAISE):
     jungle = jungle or make_sc11_jungle()
     damuse = DistributedAmuse(
         jungle, jungle.host("laptop"), fault_policy=fault_policy

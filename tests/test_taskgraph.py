@@ -871,8 +871,8 @@ class TestBridgeGraphShape:
         """One-directional coupling with the provider used DIRECTLY
         (no CouplingField): the provider's drift must not overtake a
         sibling's pre-drift field query against its worker — the DAG
-        must reproduce the barrier numerics in either registration
-        order."""
+        must reproduce the barrier-ordered reference in either
+        registration order."""
         def build(order):
             stars = new_plummer_model(
                 16, convert_nbody=converter, rng=7
@@ -893,12 +893,13 @@ class TestBridgeGraphShape:
                 bridge.add_system(galaxy)
             return bridge, cluster
 
+        from reference_bridge import barrier_evolve
+
         baselines = {}
-        for use_async in (True, False):
+        for evolve in (Bridge.evolve_model, barrier_evolve):
             for order in ("provider-first", "provider-last"):
                 bridge, cluster = build(order)
-                bridge.use_async = use_async
-                bridge.evolve_model(0.02 | units.Myr)
+                evolve(bridge, 0.02 | units.Myr)
                 pos = cluster.particles.position.value_in(
                     units.m
                 ).copy()
@@ -992,26 +993,23 @@ class TestDagCostModel:
             )
 
     def test_jungle_runner_selects_dag_from_bridge(self):
+        """A driven simulation's bridge runs the step graph, so its
+        iterations charge "dag"; modeled time alone charges the
+        prototype's "barrier"."""
         from types import SimpleNamespace
 
         from repro.distributed import JungleRunner
-        from repro.jungle import make_lab_jungle
 
-        damuse = SimpleNamespace(jungle=make_lab_jungle())
-        sim = SimpleNamespace(
-            bridge=SimpleNamespace(use_async=True)
+        model, _workload, placement = self._placement()
+        damuse = SimpleNamespace(
+            jungle=model.jungle, check_alive=lambda: True,
+            placement=lambda: placement,
         )
-        assert JungleRunner(sim, damuse).schedule == "dag"
-        sim.bridge.use_async = False
-        assert JungleRunner(sim, damuse).schedule == "barrier"
-        # an explicit overlap override pins the historical barrier
-        # accounting it used to select
-        assert JungleRunner(
-            sim, damuse, overlap_drift=True
-        ).schedule == "barrier"
-        assert JungleRunner(
-            sim, damuse, schedule="dag"
-        ).schedule == "dag"
+        sim = SimpleNamespace(evolve_one_iteration=lambda: None)
+        costs = JungleRunner(sim, damuse).run_iteration()
+        assert costs["schedule"] == "dag"
+        assert JungleRunner(None, damuse).run_iteration()[
+            "schedule"] == "barrier"
 
 
 # -- EvolveGroup contract preserved on the graph -----------------------------
