@@ -42,8 +42,10 @@ specified interface (paper Sec. 4):
 
 To expose another worker call, add a row — a column, a ``_query`` or a
 ``_mutation`` line in the class body — not a method.  Hand-written
-remote methods are kept for calls with logic of their own: the evolve
-with its mirror refresh, and the batched state sync.
+remote methods are kept for calls with logic of their own: the evolve,
+whose mirror refresh (the ``_pull_requests`` getters that
+``pull_state`` also sends) travels right behind it on the same
+connection, and the batched state sync.
 
 Blocking usage (unchanged from the classic API)::
 
@@ -188,6 +190,7 @@ class _ParametersProxy:
     def __setattr__(self, name, value):
         channel = self._channel_for(name, "set")
         self._code._inflight.require_idle(f"set parameter {name}")
+        self._code._epoch += 1
         channel.call("set_parameter", name, value)
         self._code._parameter_cache[name] = value
 
@@ -264,6 +267,10 @@ class CommunityCode:
         #: evolve — restored on restart so the replay resumes, not
         #: re-integrates
         self._model_time_code = 0.0
+        #: bumped by every write that can move the worker's masses or
+        #: positions, so a bridge can tell that a field it evaluated
+        #: from this code still holds
+        self._epoch = 0
         self._open_channel()
         self.converter = convert_nbody
         self._inflight = InflightTracker(type(self).__name__)
@@ -328,6 +335,10 @@ class CommunityCode:
         tracker."""
         self._require_open(name)
         self._inflight.begin(name)
+        if name != "kick":
+            # a kick writes velocities only; every other transition
+            # may move masses or positions
+            self._epoch += 1
         try:
             issued = launch()
         except BaseException:
@@ -345,22 +356,31 @@ class CommunityCode:
     def evolve_model(self, end_time):
         """Advance the worker to *end_time* and refresh the mirror.
 
-        ``evolve_model.async_(t)`` returns the future instead: the
-        worker advances in the background and the mirror refresh (plus
-        unit conversion) runs when the future is joined.
+        The evolve travels in a frame of its own, so it stays
+        cancellable, and the mirror refresh's getters follow it at once
+        in one batched frame on the same connection, without waiting
+        for the evolve's reply: the worker runs a connection's frames
+        in order, so the getters read the evolved state.  Joining the
+        future only applies the values that already arrived, with no
+        round trip of its own.  ``evolve_model.async_(t)`` returns that
+        future: the worker advances in the background and the join runs
+        the unit conversion.
         """
         t_code = self._to_code(end_time, self._TIME_UNIT)
 
-        def _join(value):
-            self.pull_state()
-            self._model_time_code = float(t_code)
-            return value
+        def _launch():
+            return [
+                self.channel.async_call("evolve_model", float(t_code)),
+                *self._pull_requests(),
+            ]
 
-        return self._transition(
-            "evolve_model",
-            lambda: self.channel.async_call("evolve_model", float(t_code)),
-            transform=_join,
-        )
+        def _join(values):
+            evolved, *pulled = values
+            self._apply_pull(pulled)
+            self._model_time_code = float(t_code)
+            return evolved
+
+        return self._transition("evolve_model", _launch, transform=_join)
 
     # -- particles -----------------------------------------------------------
 
@@ -385,6 +405,7 @@ class CommunityCode:
         mirror.  The mirror holds what the worker holds: each column
         converted to code units and back."""
         self._require_edit("add_particles")
+        self._epoch += 1
         ids, columns = self._upload(particles)
         mirror = Particles(keys=np.asarray(particles.key))
         for (_getter, _setter, attr, unit), column in zip(
@@ -394,34 +415,35 @@ class CommunityCode:
         self._ids = np.concatenate([self._ids, ids])
         return self.particles
 
-    @remote_method
-    def pull_state(self):
-        """Refresh the local mirror from the worker.
-
-        One batched frame fetches every attribute in ``_STATE_ATTRS``
-        per sync instead of one frame per attribute; the async form
-        applies the values (and unit conversion) at join time.
-        """
-        self._require_open("pull_state")
+    def _pull_requests(self):
+        """Send the getters of one mirror refresh — every
+        ``_STATE_ATTRS`` column in one batched frame, nothing for a
+        code without particles — and return their requests."""
         if not len(self._ids):
-            return Future.completed(
-                self.particles,
-                description=f"{type(self).__name__}.pull_state",
-            )
+            return []
         with self.channel.batch():
-            requests = [
+            return [
                 self.channel.async_call(getter, self._ids)
                 for getter, _setter, _attr, _unit in self._STATE_ATTRS
             ]
 
-        def _apply(values):
+    def _apply_pull(self, values):
+        """Write the values of :meth:`_pull_requests` into the mirror,
+        in script units."""
+        if values:
             for (_getter, _setter, attr, unit), value in zip(
                     self._STATE_ATTRS, values, strict=True):
                 setattr(self.particles, attr, self._from_code(value, unit))
-            return self.particles
+        return self.particles
 
+    @remote_method
+    def pull_state(self):
+        """Refresh the local mirror from the worker in one batched
+        frame; the async form applies the values (and unit conversion)
+        at join time."""
+        self._require_open("pull_state")
         return Future(
-            requests=requests, transform=_apply,
+            requests=self._pull_requests(), transform=self._apply_pull,
             description=f"{type(self).__name__}.pull_state",
         )
 
@@ -453,11 +475,11 @@ class CommunityCode:
         Unlike :meth:`stop` this never raises for an in-flight async
         transition and is a no-op on an already-stopped code.  An
         outstanding future is never left hanging: its join either
-        returns normally (the worker finished the call before the
-        channel closed) or raises — typically :class:`CodeStateError`
-        from the post-evolve mirror refresh, or a channel error if the
-        call was still on the wire.  Used by ``__exit__`` during
-        exception unwinding and by :meth:`EvolveGroup.stop`.
+        returns normally (the worker answered every call of it before
+        the channel closed — for an evolve, the mirror refresh's
+        getters too) or raises the channel error of a call still on
+        the wire.  Used by ``__exit__`` during exception unwinding and
+        by :meth:`EvolveGroup.stop`.
         """
         if self._stopped:
             return
@@ -496,6 +518,7 @@ class CommunityCode:
             # stop; respawning is the whole point
             pass
         self._inflight.resync()
+        self._epoch += 1
         self._open_channel()
         for name, value in self._parameter_cache.items():
             self.channel.call("set_parameter", name, value)
@@ -540,6 +563,7 @@ class GravitationalDynamicsCode(CommunityCode):
 
     def commit_particles(self):
         self._require_edit("commit_particles")
+        self._epoch += 1
         self.channel.call("ensure_state", "RUN")
 
     @remote_method
@@ -697,26 +721,19 @@ class SSE(CommunityCode):
         super().add_particles(particles)
         return self.pull_state()
 
-    @remote_method
-    def pull_state(self):
-        self._require_open("pull_state")
+    def _pull_requests(self):
         if not len(self._ids):
-            return Future.completed(
-                self.particles, description="SSE.pull_state"
-            )
-        request = self.channel.async_call("get_state", self._ids)
+            return []
+        return [self.channel.async_call("get_state", self._ids)]
 
-        def _apply(state):
-            mass, radius, lum, teff, stype = state
+    def _apply_pull(self, values):
+        if values:
+            mass, radius, lum, teff, stype = values[0]
             self.particles.mass = Quantity(mass, u.MSun)
             self.particles.radius = Quantity(radius, u.RSun)
             self.particles.luminosity = Quantity(lum, u.LSun)
             self.particles.temperature = Quantity(teff, u.K)
             self.particles.stellar_type = np.asarray(stype)
-            return self.particles
-
-        return Future(
-            request, transform=_apply, description="SSE.pull_state"
-        )
+        return self.particles
 
     time_of_next_supernova = _query("time_of_next_supernova", u.Myr)

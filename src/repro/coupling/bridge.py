@@ -23,10 +23,25 @@ positions, second kicks post-drift ones.  This is the inter-model
 parallelism that makes the paper's jungle scenario 4 faster than any
 single-resource scenario.
 
-:class:`CouplingField` wraps a tree code as the field solver: before
-every kick it uploads the current source-particle configuration and
-evaluates gravity at the kicked system's positions, exactly the role
-Octgrav/Fi play in the embedded-cluster run.
+:class:`CouplingField` wraps a tree code as the field solver: it
+uploads the source-particle configuration and evaluates gravity at the
+kicked system's positions, exactly the role Octgrav/Fi play in the
+embedded-cluster run.
+
+A field is evaluated only when its inputs changed.  A kick moves no
+particle, so the first kick of a step usually sees exactly the
+positions and masses the previous step's second kick saw.  Per kicked
+system the bridge remembers the summed partner acceleration of its
+last successful evaluation with the inputs that determined it: the
+kicked system's mirror positions and the eps, and per partner the
+gathered source arrays of a :class:`CouplingField` (plus its field
+code's epoch) or the epoch of a system code used directly.  A code's
+epoch counts the writes that can move its worker's masses or positions
+(evolve, state and mass pushes, particle edits, parameter writes, a
+worker restart; not a kick).  When every input equals the remembered
+one, the field node returns the remembered sum without a round trip;
+the result is bit-identical to evaluating it again.  A provider without
+an epoch is always evaluated.
 """
 
 from __future__ import annotations
@@ -41,16 +56,39 @@ from ..units.core import Quantity
 __all__ = ["Bridge", "CouplingField"]
 
 
+def _frozen(quantity):
+    """A copy of *quantity*'s number with its unit, for an exact later
+    comparison (a mirror attribute is written in place)."""
+    if quantity is None:
+        return None
+    return np.array(quantity.number), quantity.unit
+
+
+def _same(a, b):
+    """Exact equality of two remembered field inputs: nested tuples of
+    arrays (equal shape and values), units and plain values."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(
+            _same(x, y) for x, y in zip(a, b)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+    return a == b
+
+
 class CouplingField:
     """A tree code acting as gravity-field solver for bridge kicks.
 
     Each field evaluation issues ONE batched frame over the channel:
     the source-particle upload and the field query travel together and
     the worker executes them in order — halving the round trips per
-    kick compared to one frame per call.  Both queries are
+    evaluation compared to one frame per call.  Both queries are
     :class:`~repro.rpc.futures.remote_method`\\ s, so the bridge can
     launch every system's field evaluation asynchronously and overlap
-    them (``field.get_gravity_at_point.async_(...)``).
+    them (``field.get_gravity_at_point.async_(...)``).  A bridge
+    evaluates the field only when the gathered sources, the eps, the
+    field code's epoch or the kicked positions changed since its last
+    evaluation (see the module docstring).
     """
 
     def __init__(self, field_code, source_systems, eps=None):
@@ -72,9 +110,13 @@ class CouplingField:
         return np.concatenate(masses), np.concatenate(positions)
 
     @remote_method
-    def get_gravity_at_point(self, eps, points):
+    def get_gravity_at_point(self, eps, points, sources=None):
+        """The field at *points*; *sources* are the gathered (mass,
+        position) arrays to upload, gathered here when not given."""
+        if sources is None:
+            sources = self._gather_sources()
         return self.code.get_gravity_at_point.async_(
-            self.eps or eps, points, sources=self._gather_sources()
+            self.eps or eps, points, sources=sources
         )
 
     @remote_method
@@ -110,6 +152,9 @@ class Bridge:
         self.fault_policy = fault_policy
         self.systems = []          # (code, partners)
         self.time = None
+        #: per kicked system: (inputs, summed partner acceleration) of
+        #: its last successful field evaluation
+        self._fields = {}
         #: wall-clock style accounting for the monitoring displays
         self.kick_count = 0
         self.drift_count = 0
@@ -178,21 +223,52 @@ class Bridge:
             return [field_code]
         return [partner]
 
+    @staticmethod
+    def _partner_inputs(partner):
+        """What *partner*'s field depends on besides the points and the
+        eps, epoch first: a CouplingField's field-code epoch, its eps
+        and the (mass, position) arrays it uploads; a system code's own
+        epoch.  A provider that keeps no epoch gives None there."""
+        if isinstance(partner, CouplingField):
+            return (
+                getattr(partner.code, "_epoch", None),
+                _frozen(partner.eps), partner._gather_sources(),
+            )
+        return (getattr(partner, "_epoch", None),)
+
     def _launch_fields(self, code, partners, dt):
         """Launch every partner's field evaluation for *code*; returns
         a future resolving to the summed velocity delta for *dt*.
 
+        When every input of the last successful evaluation for *code*
+        is unchanged, the remembered sum is reused and nothing is sent.
         A launch failing partway (a stopped partner) joins the futures
         already launched, so no sibling field query is left dangling.
         """
         softening = Quantity(0.0, nbody_system.length)
         pos = code.particles.position
         eps = self._eps_for(code, softening)
+        partner_inputs = tuple(
+            self._partner_inputs(partner) for partner in partners
+        )
+        inputs = None
+        if all(key[0] is not None for key in partner_inputs):
+            inputs = (_frozen(pos), _frozen(eps), partner_inputs)
+            remembered = self._fields.get(id(code))
+            if remembered is not None and _same(remembered[0], inputs):
+                return Future.completed(
+                    remembered[1] * dt,
+                    description=f"{type(code).__name__} field sum",
+                )
         futures = []
         try:
-            for partner in partners:
+            for partner, key in zip(partners, partner_inputs,
+                                    strict=True):
+                query = partner.get_gravity_at_point.async_
                 futures.append(
-                    partner.get_gravity_at_point.async_(eps, pos)
+                    query(eps, pos, sources=key[2])
+                    if isinstance(partner, CouplingField)
+                    else query(eps, pos)
                 )
         except BaseException:
             for future in futures:
@@ -203,6 +279,8 @@ class Bridge:
             total = accelerations[0]
             for acc in accelerations[1:]:
                 total = total + acc
+            if inputs is not None:
+                self._fields[id(code)] = (inputs, total)
             return total * dt
 
         return Future(

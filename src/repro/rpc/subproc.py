@@ -373,14 +373,16 @@ class SubprocessChannel(StreamChannel):
             self._escalate_shutdown()
 
     def _drain_stderr(self):
-        stream = self._proc.stderr
-        while True:
-            chunk = stream.read1(4096)
-            if not chunk:
-                return
-            with self._stderr_lock:
-                self._stderr_buf += chunk
-                del self._stderr_buf[:-_STDERR_TAIL_BYTES]
+        # the pipe reaches EOF when the child exits: close it then, so
+        # a stopped channel leaves no open file behind
+        with self._proc.stderr as stream:
+            while True:
+                chunk = stream.read1(4096)
+                if not chunk:
+                    return
+                with self._stderr_lock:
+                    self._stderr_buf += chunk
+                    del self._stderr_buf[:-_STDERR_TAIL_BYTES]
 
     def _stderr_tail(self):
         if self._stderr_thread is not None:

@@ -1,10 +1,13 @@
 """High-level code wrapper tests: units at the boundary, mirrors."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.codes import SSE, Fi, Gadget, Octgrav, PhiGRAPE
 from repro.codes.base import CodeStateError
+from repro.distributed import IbisDaemon, connect
 from repro.ic import new_plummer_gas_model, new_plummer_model
 from repro.rpc import Future, remote_method
 from repro.units import nbody_system, units
@@ -120,6 +123,86 @@ class TestGravityWrapper:
         grav.evolve_model(0.02 | units.Myr)
         assert grav.channel.kind == "sockets"
         grav.stop()
+
+
+_network = pytest.mark.network
+
+
+class TestMirrorAfterEvolve:
+    """The mirror refresh's getters travel right behind the evolve on
+    the same connection without waiting for its reply, so every
+    channel must run a connection's frames in order: after the join
+    the mirror holds exactly what the worker's getters return."""
+
+    @staticmethod
+    def _placed(stack, kind, cls, converter):
+        args = () if cls is SSE else (converter,)
+        if kind in ("relay", "decoded"):
+            daemon = IbisDaemon()
+            daemon.start()
+            stack.callback(daemon.shutdown)
+            session = stack.enter_context(
+                connect(daemon, relay=kind == "relay")
+            )
+            code = session.code(cls, *args, channel_type="thread")
+        else:
+            code = cls(*args, channel_type=kind)
+        stack.callback(code.shutdown)
+        return code
+
+    @staticmethod
+    def _worker_columns(code):
+        """Each mirror attribute as the worker's getters give it,
+        converted the way the mirror refresh converts it."""
+        if isinstance(code, SSE):
+            mass, radius, lum, teff, stype = code.channel.call(
+                "get_state", code._ids
+            )
+            return {
+                "mass": mass, "radius": radius, "luminosity": lum,
+                "temperature": teff, "stellar_type": np.asarray(stype),
+            }
+        return {
+            attr: code._from_code(
+                code.channel.call(getter, code._ids), unit
+            ).number
+            for getter, _setter, attr, unit in code._STATE_ATTRS
+        }
+
+    @pytest.mark.parametrize("kind", [
+        "direct",
+        pytest.param("sockets", marks=_network),
+        pytest.param("subprocess", marks=_network),
+        pytest.param("shm", marks=_network),
+        pytest.param("relay", marks=_network),
+        pytest.param("decoded", marks=_network),
+    ])
+    @pytest.mark.parametrize("cls", [PhiGRAPE, SSE],
+                             ids=lambda c: c.__name__)
+    def test_mirror_equals_worker_getters(self, converter, kind, cls):
+        particles = new_plummer_model(
+            16, convert_nbody=converter, rng=3
+        )
+        if cls is SSE:
+            particles.mass = np.linspace(1.0, 30.0, 16) | units.MSun
+            end = 20.0 | units.Myr
+        else:
+            end = 0.05 | units.Myr
+        with contextlib.ExitStack() as stack:
+            code = self._placed(stack, kind, cls, converter)
+            code.add_particles(particles)
+            before = code.particles.copy()
+            code.evolve_model(end)
+            worker = self._worker_columns(code)
+            moved = "position" if cls is PhiGRAPE else "radius"
+            assert not np.array_equal(
+                getattr(before, moved).number, worker[moved]
+            )
+            for attr, value in worker.items():
+                mirror = getattr(code.particles, attr)
+                assert np.array_equal(
+                    getattr(mirror, "number", mirror), value
+                ), attr
 
 
 class TestHydroWrapper:

@@ -165,12 +165,16 @@ class TestRelayDataPlane:
             assert np.array_equal(ch.call("echo", arr), arr)
             meta = session.status()["session"]["workers"]
             assert meta[ch.worker_id]["relay"] is True
-            # the downstream pump accounts a frame just AFTER the
-            # client can observe its payload, so poll briefly
+            # each pump accounts a frame just AFTER forwarding it, so
+            # the client can observe the reply before either count
+            # lands (the upstream one included: the pilot may answer
+            # before the upstream pump returns); poll briefly
             deadline = time.monotonic() + 5.0
             while True:
                 acct = session.status()["session"]["accounting"]
-                if acct["bytes_out"] > arr.nbytes \
+                if (acct["relay_frames"] >= 4
+                        and acct["bytes_in"] > arr.nbytes
+                        and acct["bytes_out"] > arr.nbytes) \
                         or time.monotonic() > deadline:
                     break
                 time.sleep(0.01)
