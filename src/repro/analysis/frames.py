@@ -13,7 +13,7 @@ Three cross-checks over the wire layer, all AST-derived:
    must line up end to end: every key a client offer function
    (``_offer_capabilities`` / ``_hello_caps``) puts in its returned
    dict must be examined by an accept site (``accept_capabilities``,
-   ``parse_hello`` or the daemon's hello arm in ``_serve``), and every
+   ``parse_hello`` or the daemon's hello handler ``_on_hello``), and every
    key the client applies from the ack (``_apply_negotiated_caps``)
    must be one the accept side can actually grant.  A typo'd
    capability name silently negotiates to "off" — this check makes it
@@ -22,23 +22,28 @@ Three cross-checks over the wire layer, all AST-derived:
 3. **Frame kinds** — every request kind a client sends (tuples built
    by ``*_message`` helpers or passed to the send/request plumbing,
    plus the implied kind of every ``send_<kind>_frame`` helper) must
-   have a dispatch arm comparing against it on some peer loop; arms
-   that no in-tree client ever sends are reported too, so dead
-   protocol surface is at least a conscious, baselined decision.
+   have a dispatch arm on some peer loop — a comparison against it,
+   or a key of a frame table (a dict display bound to a ``*_FRAMES``
+   name, mapping each kind to its handler); arms that no in-tree
+   client ever sends are reported too, so dead protocol surface is at
+   least a conscious, baselined decision.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 
-from .core import Finding, FunctionInfo, Project, rule
+from .core import Finding, FunctionInfo, Module, Project, rule
 
 __all__: list[str] = []
 
 #: functions whose returned dict carries the client's hello offer
 _OFFER_FUNCS = frozenset({"_offer_capabilities", "_hello_caps"})
 #: functions that examine an offer (variables named offered/offer)
-_ACCEPT_FUNCS = frozenset({"accept_capabilities", "parse_hello", "_serve"})
+_ACCEPT_FUNCS = frozenset({
+    "accept_capabilities", "parse_hello", "_on_hello",
+})
 _ACCEPT_VARS = frozenset({"offered", "offer"})
 #: the client side applying the negotiated ack
 _APPLY_FUNCS = frozenset({"_apply_negotiated_caps"})
@@ -279,10 +284,35 @@ def _handled_kinds(info: FunctionInfo) -> set[str]:
     return kinds
 
 
+def _table_arms(module: Module) -> Iterator[tuple[str, int, str]]:
+    """``(kind, line, site)`` for every key of a frame table: a dict
+    display bound to a ``*_FRAMES`` name at module or class level."""
+    scopes: list[tuple[str, list[ast.stmt]]] = [("", module.tree.body)]
+    while scopes:
+        prefix, body = scopes.pop()
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scopes.append((f"{prefix}{node.name}.", node.body))
+            elif isinstance(node, ast.Assign) and isinstance(
+                node.value, ast.Dict
+            ):
+                for target in node.targets:
+                    if not (isinstance(target, ast.Name)
+                            and target.id.endswith("_FRAMES")):
+                        continue
+                    site = f"{module.rel}::{prefix}{target.id}"
+                    for key in node.value.keys:
+                        kind = None if key is None else _str_const(key)
+                        if kind is not None:
+                            yield kind, key.lineno, site
+
+
 def _check_kinds(project: Project) -> list[Finding]:
     sent: dict[str, tuple[str, int, str]] = {}
     handled: dict[str, tuple[str, int, str]] = {}
     for module in project.modules:
+        for kind, line, site in _table_arms(module):
+            handled.setdefault(kind, (module.rel, line, site))
         for info in module.all_functions():
             for kind in _sent_kinds(info):
                 sent.setdefault(

@@ -25,7 +25,8 @@ service::
 
 and connect with :func:`repro.distributed.connect`.
 
-Daemon message surface (all frames per :mod:`repro.rpc.protocol`):
+Daemon message surface (all frames per :mod:`repro.rpc.protocol`), one
+handler per kind in :attr:`IbisDaemon._FRAMES`:
 
 * ``("hello", req_id, PROTOCOL_VERSION, caps)`` — the capability
   handshake (a version mismatch is answered with an error frame);
@@ -35,14 +36,15 @@ Daemon message surface (all frames per :mod:`repro.rpc.protocol`):
   granted ``{"id", "token"}`` pair.
 * ``("start_worker", req_id, factory_bytes, resource, node_count,
   worker_mode, session_id, options)`` — every field present; a frame
-  of another shape gets an error reply naming them.  *worker_mode*
-  ("thread", "subprocess" or "shm"; None for the daemon's default)
-  picks the pilot; subprocess and shm pilots are claimed from the warm
-  pool when one is parked.  *session_id* may be None (the
-  connection's own session).  *options* is a dict;
-  ``{"relay": True}`` starts a *relay pilot*: the
-  pilot is bootstrapped but NOT wire-negotiated, waiting for an
-  ``attach_worker`` splice
+  of another shape gets an error reply naming them.  Every pilot is
+  one type, built from the factory bytes, *worker_mode* ("thread",
+  "subprocess" or "shm"; None for the daemon's default), the
+  ``{"relay": True}`` option and the warm pool.  Only a thread pilot
+  unpickles the factory, because it runs in the daemon; a subprocess
+  or shm pilot ships the bytes as sent to a claimed warm-pool child or
+  a cold spawn.  A *relay pilot* is bootstrapped but NOT
+  wire-negotiated, waiting for an ``attach_worker`` splice.
+  *session_id* may be None (the connection's own session).
 * ``("attach_worker", req_id, worker_id[, session_id])`` — flips this
   connection into the zero-decode data plane: after the ack, every
   frame in either direction is spliced verbatim between client and
@@ -108,167 +110,152 @@ logger = logging.getLogger("repro.distributed.daemon")
 _WORKER_MODES = ("thread", "subprocess", "shm")
 
 
-class _ThreadWorker:
-    """A pilot worker hosted in the daemon process itself (the original
-    mode): calls are dispatched straight to the interface in the
-    connection handler's thread."""
-
-    mode = "thread"
-    pid = None
-    warm_hit = False
-
-    def __init__(self, interface):
-        self.interface = interface
-
-    def call(self, method, *args, **kwargs):
-        return getattr(self.interface, method)(*args, **kwargs)
-
-    def stop(self):
-        stop = getattr(self.interface, "stop", None)
-        if stop is not None:
-            stop()
+def _check_mode(worker_mode):
+    if worker_mode not in _WORKER_MODES:
+        raise ValueError(
+            f"unknown worker mode {worker_mode!r}; "
+            f"known: {sorted(_WORKER_MODES)}"
+        )
+    return worker_mode
 
 
-class _SubprocessWorker:
-    """A pilot worker in its own OS process, driven through a
-    :class:`~repro.rpc.subproc.SubprocessChannel` — the real AMUSE
-    proxy+worker pair: the daemon forwards calls to a child that owns
-    its interpreter (and its GIL).  ``shm=True`` is the per-pilot
-    transport upgrade: the daemon→child leg moves array payloads
-    through shared-memory segments instead of the socket.
+def _hang_up(sock):
+    """Shut a socket down, then close it: ``shutdown`` wakes a thread
+    blocked in ``recv`` or ``accept`` on it, which ``close`` from
+    another thread of the same process does not."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
-    When a *warm_pool* is passed, the worker first tries to claim a
-    parked pre-spawned child and activate it with the tenant's factory
-    — skipping interpreter startup and the preloaded imports; a pool
-    miss (or a failed activation) falls back to the cold spawn."""
 
-    def __init__(self, factory, shm=False, warm_pool=None):
-        options = {}
-        if shm:
+class _Connection:
+    """One served client connection: its socket and wire state, the
+    session it is attached to, and the byte accounting into it."""
+
+    __slots__ = ("sock", "wire", "session", "delta_in", "then", "_mark")
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.wire = WireState()
+        self.session = None
+        #: wire bytes of the last received frame
+        self.delta_in = 0
+        #: set by a frame that hands the connection over (the relay
+        #: splice, daemon shutdown): run after the reply, which ends
+        #: the serve loop
+        self.then = None
+        self._mark = 0
+
+    def recv(self):
+        message = recv_frame(self.sock, self.wire)
+        self.delta_in = self.wire.bytes_received - self._mark
+        self._mark = self.wire.bytes_received
+        if self.session is not None:
+            self.session.accounting["bytes_in"] += self.delta_in
+            self.session.touch()
+        return message
+
+    def reply(self, message):
+        sent = send_frame(self.sock, message, self.wire)
+        if self.session is not None:
+            self.session.accounting["bytes_out"] += sent
+
+
+class _Pilot:
+    """One pilot worker: *worker_mode* says where it runs, *relay*
+    which data plane reaches it.
+
+    A ``thread`` pilot runs in the daemon, the only place its factory
+    is unpickled.  Relayed, a real :func:`~repro.rpc.channel.worker_loop`
+    serves it behind a ``socketpair``, so the spliced client negotiates
+    capabilities end to end as against a remote pilot.  A
+    ``subprocess`` / ``shm`` pilot is a child process behind a
+    :class:`~repro.rpc.subproc.SubprocessChannel` (a claimed warm-pool
+    child, else a cold spawn) that receives the factory bytes as sent:
+    activated when decoded, bootstrapped but never wire-negotiated when
+    its raw socket is handed to the splice."""
+
+    attached = warm = False
+    pid = channel = relay_sock = None
+
+    def __init__(self, factory_bytes, worker_mode, relay, warm_pool):
+        self.mode = worker_mode
+        self.relay = relay
+        if worker_mode == "thread":
+            self.interface = pickle.loads(factory_bytes)()
+            self.code = type(self.interface).__name__
+            if relay:
+                self.relay_sock, worker_side = socket.socketpair()
+                self._thread = threading.Thread(
+                    target=worker_loop, args=(self.interface, worker_side),
+                    name="relay-thread-pilot", daemon=True,
+                )
+                self._thread.start()
+            return
+        channel = None if warm_pool is None else warm_pool.claim()
+        if channel is not None:
+            try:
+                self._bootstrap(channel, factory_bytes)
+                self.warm = True
+            except Exception:  # noqa: BLE001 - warm claim best-effort
+                logger.exception("warm pilot bootstrap failed; cold-spawning")
+                channel = None
+        if channel is None:
+            # a failed bootstrap tears the child down inside the
+            # channel; the error propagates to the start_worker reply
+            channel = SubprocessChannel(warm=True)
+            self._bootstrap(channel, factory_bytes)
+        self.channel = channel
+        self.pid = channel.pid
+        self.code = channel.interface_name
+
+    def _bootstrap(self, channel, factory_bytes):
+        if self.relay:
+            # relay shm pilots are plain subprocess spawns: the shm leg
+            # is negotiated client<->pilot end to end through the
+            # splice, not with the daemon
+            self.relay_sock = channel.detach_for_relay(factory_bytes)
+        elif self.mode == "shm":
             from ..rpc.shm import DEFAULT_SEGMENT_SIZE
 
-            options["shm_segment_size"] = DEFAULT_SEGMENT_SIZE
-        self.mode = "shm" if shm else "subprocess"
-        self.warm_hit = False
-        channel = None
-        if warm_pool is not None:
-            channel = warm_pool.claim()
-        if channel is not None:
-            try:
-                channel.activate(factory, **options)
-                self.warm_hit = True
-            except Exception:  # noqa: BLE001 - warm claim best-effort
-                logger.exception(
-                    "warm worker activation failed; cold-spawning"
-                )
-                channel = None
-        if channel is None:
-            channel = SubprocessChannel(factory, **options)
-        self.channel = channel
-        self.pid = channel.pid
+            channel.activate(
+                factory_bytes, shm_segment_size=DEFAULT_SEGMENT_SIZE
+            )
+        else:
+            channel.activate(factory_bytes)
 
     def call(self, method, *args, **kwargs):
-        return self.channel.call(method, *args, **kwargs)
-
-    def stop(self):
-        self.channel.stop()
-
-
-class _RelayThreadWorker:
-    """A relay pilot hosted in the daemon process: a real
-    :func:`~repro.rpc.channel.worker_loop` on its own thread behind a
-    ``socketpair``, so the spliced client negotiates capabilities
-    (cancel, compression, shm) end to end exactly as it would against
-    a remote pilot."""
-
-    mode = "thread"
-    pid = None
-    warm_hit = False
-
-    def __init__(self, factory):
-        self.interface = factory()
-        daemon_side, worker_side = socket.socketpair()
-        self.relay_sock = daemon_side
-        self.attached = False
-        self._thread = threading.Thread(
-            target=worker_loop, args=(self.interface, worker_side),
-            name="relay-thread-pilot", daemon=True,
-        )
-        self._thread.start()
-
-    def call(self, method, *args, **kwargs):
-        raise ProtocolError(
-            "worker is relay-attached; calls travel through the "
-            "spliced connection, not the daemon dispatcher"
-        )
+        if self.relay:
+            raise ProtocolError(
+                "worker is relay-attached; calls travel through the "
+                "spliced connection, not the daemon dispatcher"
+            )
+        if self.channel is not None:
+            return self.channel.call(method, *args, **kwargs)
+        return getattr(self.interface, method)(*args, **kwargs)
 
     def death_info(self):
-        return {
-            "message": "relayed pilot (daemon thread) connection lost",
-        }
+        if self.channel is not None:
+            return self.channel.death_info()
+        return {"message": "relayed pilot (daemon thread) connection lost"}
 
     def stop(self):
-        try:
-            self.relay_sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.relay_sock.close()
-        except OSError:
-            pass
-        self._thread.join(timeout=5.0)
-
-
-class _RelaySubprocessWorker:
-    """A relay pilot in its own OS process, bootstrapped but NEVER
-    activated: the factory frame is shipped and the pid ack awaited,
-    then the raw socket is handed to the relay pump — no daemon-leg
-    hello, so the client's capability negotiation passes through to
-    the child's :func:`worker_loop` untouched.  Warm-pool claims work
-    exactly as for decoded pilots (the parked child is waiting for a
-    factory frame either way)."""
-
-    warm_hit = False
-
-    def __init__(self, factory, mode="subprocess", warm_pool=None):
-        self.mode = mode
-        self.attached = False
-        channel = None
-        if warm_pool is not None:
-            channel = warm_pool.claim()
-        if channel is not None:
-            try:
-                channel.detach_for_relay(factory)
-                self.warm_hit = True
-            except Exception:  # noqa: BLE001 - warm claim best-effort
-                logger.exception(
-                    "warm relay bootstrap failed; cold-spawning"
-                )
-                channel = None
-        if channel is None:
-            channel = SubprocessChannel(warm=True)
-            # detach failure tears the child down inside the channel;
-            # the error propagates to the start_worker reply
-            channel.detach_for_relay(factory)
-        self.channel = channel
-        self.relay_sock = channel._sock
-        self.pid = channel.pid
-
-    def call(self, method, *args, **kwargs):
-        raise ProtocolError(
-            "worker is relay-attached; calls travel through the "
-            "spliced connection, not the daemon dispatcher"
-        )
-
-    def death_info(self):
-        return self.channel.death_info()
-
-    def stop(self):
-        try:
-            self.relay_sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.channel.stop()
+        if self.relay_sock is not None:
+            # wakes the splice's downstream pump out of its recv
+            _hang_up(self.relay_sock)
+        if self.channel is not None:
+            self.channel.stop()
+        elif self.relay:
+            self._thread.join(timeout=5.0)
+        else:
+            stop = getattr(self.interface, "stop", None)
+            if stop is not None:
+                stop()
 
 
 class IbisDaemon:
@@ -292,34 +279,27 @@ class IbisDaemon:
     def __init__(self, host="127.0.0.1", port=0, worker_mode="thread",
                  warm_pool=0, max_sessions=None, idle_timeout=None,
                  max_active=None, drain_timeout=5.0):
-        if worker_mode not in _WORKER_MODES:
-            raise ValueError(
-                f"unknown worker mode {worker_mode!r}; "
-                f"known: {sorted(_WORKER_MODES)}"
-            )
         self._host = host
         self._port = int(port)
-        self._worker_mode = worker_mode
+        self._worker_mode = _check_mode(worker_mode)
         self._warm_size = int(warm_pool)
         self._max_sessions = max_sessions
         self._idle_timeout = idle_timeout
-        self._max_active = max_active
         self._drain_timeout = float(drain_timeout)
-        self._listener = None
-        self._unix_listener = None
-        self._accept_thread = None
-        self._unix_accept_thread = None
-        self._reaper_thread = None
+        #: the TCP listener, then the AF_UNIX one when there is one,
+        #: each served by its own accept thread
+        self._listeners = []
+        self._accept_threads = []
         self._sessions = {}
         self._by_token = {}
         self._worker_ids = iter(range(1, 1 << 30))
         self._lock = threading.Lock()
-        self._conns = set()
-        self._serve_threads = set()
+        #: served connection -> the thread serving it
+        self._served = {}
         self._running = False
         self._shutdown_done = threading.Event()
         self._started_at = None
-        self.admission = None
+        self.admission = AdmissionController(slots=max_active)
         self.warm_pool = None
         self.reaped_sessions = 0
         self.address = None
@@ -335,15 +315,16 @@ class IbisDaemon:
         return self._running
 
     def start(self):
-        self._listener = socket.socket(
+        listener = socket.socket(
             socket.AF_INET, socket.SOCK_STREAM
         )
-        self._listener.setsockopt(
+        listener.setsockopt(
             socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
         )
-        self._listener.bind((self._host, self._port))
-        self._listener.listen(16)
-        self.address = self._listener.getsockname()
+        listener.bind((self._host, self._port))
+        listener.listen(16)
+        self._listeners.append(listener)
+        self.address = listener.getsockname()
         # same-host fast path: an abstract-namespace AF_UNIX listener
         # alongside TCP.  Local clients that dial it (connect() with a
         # daemon instance does so automatically) move bulk relay
@@ -364,29 +345,20 @@ class IbisDaemon:
                     "clients will use loopback TCP"
                 )
             else:
-                self._unix_listener = unix
+                self._listeners.append(unix)
                 self.unix_address = name
         self._started_at = time.monotonic()
         self._running = True
-        self.admission = AdmissionController(slots=self._max_active)
         if self._warm_size > 0:
             self.warm_pool = WarmWorkerPool(self._warm_size)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, args=(self._listener,),
-            daemon=True,
-        )
-        self._accept_thread.start()
-        if self._unix_listener is not None:
-            self._unix_accept_thread = threading.Thread(
-                target=self._accept_loop,
-                args=(self._unix_listener,), daemon=True,
+        for listener in self._listeners:
+            thread = threading.Thread(
+                target=self._accept_loop, args=(listener,), daemon=True
             )
-            self._unix_accept_thread.start()
+            thread.start()
+            self._accept_threads.append(thread)
         if self._idle_timeout is not None:
-            self._reaper_thread = threading.Thread(
-                target=self._reap_loop, daemon=True
-            )
-            self._reaper_thread.start()
+            threading.Thread(target=self._reap_loop, daemon=True).start()
         return self.address
 
     def shutdown(self):
@@ -401,18 +373,14 @@ class IbisDaemon:
         always means "the daemon is down" — not "someone else is
         still tearing it down"."""
         with self._lock:
-            if not self._running:
-                already_down = self._shutdown_done
-                wait_needed = True
-            else:
-                self._running = False
-                wait_needed = False
-        if wait_needed:
+            tearing_down = self._running
+            self._running = False
+        if not tearing_down:
             # a started daemon is being (or has been) torn down by
             # another thread; a never-started one has nothing to wait
             # for and its event is already unset but irrelevant
             if self._started_at is not None:
-                already_down.wait(
+                self._shutdown_done.wait(
                     timeout=self._drain_timeout + 10.0
                 )
             return
@@ -422,22 +390,13 @@ class IbisDaemon:
             self._shutdown_done.set()
 
     def _teardown(self):
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._unix_listener is not None:
-            try:
-                self._unix_listener.close()
-            except OSError:
-                pass
-        if self.admission is not None:
-            drained = self.admission.close(self._drain_timeout)
-            if not drained:
-                logger.warning(
-                    "shutdown: pilot calls still running after "
-                    "%.1fs drain", self._drain_timeout,
-                )
+        for listener in self._listeners:
+            _hang_up(listener)
+        if not self.admission.close(self._drain_timeout):
+            logger.warning(
+                "shutdown: pilot calls still running after %.1fs drain",
+                self._drain_timeout,
+            )
         if self.warm_pool is not None:
             self.warm_pool.stop()
         with self._lock:
@@ -447,34 +406,24 @@ class IbisDaemon:
         for session in sessions:
             self._stop_session_workers(session)
         with self._lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            served, self._served = self._served, {}
+        for conn in served:
+            _hang_up(conn)
+        # every thread was woken above: one deadline bounds them all
+        deadline = time.monotonic() + 2.0
         current = threading.current_thread()
-        with self._lock:
-            threads = list(self._serve_threads)
-        for thread in threads:
+        for thread in [*served.values(), *self._accept_threads]:
             if thread is not current:
-                thread.join(timeout=2.0)
-        if self._accept_thread is not None \
-                and self._accept_thread is not current:
-            self._accept_thread.join(timeout=2.0)
-        if self._unix_accept_thread is not None \
-                and self._unix_accept_thread is not current:
-            self._unix_accept_thread.join(timeout=2.0)
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     # -- session management ------------------------------------------------
 
-    def _attach_session(self, state, request):
+    def _attach_session(self, link, request):
         """Attach this connection to a session: join by token, or mint
         a new one (subject to --max-sessions).  A refusal raises
         :class:`PermissionError`."""
-        if state["session"] is not None:
-            return state["session"]
+        if link.session is not None:
+            return link.session
         name = token = None
         if isinstance(request, dict):
             name = request.get("name")
@@ -495,7 +444,11 @@ class IbisDaemon:
                 self._sessions[session.sid] = session
                 self._by_token[session.token] = session
             session.connections += 1
-        state["session"] = session
+        link.session = session
+        # the frame that attached it arrived before the connection had
+        # a session to count its bytes in
+        session.accounting["bytes_in"] += link.delta_in
+        session.touch()
         return session
 
     def _drop_session_locked(self, session):
@@ -543,12 +496,16 @@ class IbisDaemon:
         self.reaped_sessions += len(expired)
         return len(expired)
 
-    def _validate_sid(self, session, sid):
+    def _session(self, link, sid):
+        """The session a frame addresses: its connection's own, which a
+        frame-carried id must match."""
+        session = link.session
         if sid is not None and sid != session.sid:
             raise ProtocolError(
                 f"session mismatch: frame carries {sid!r}, "
                 f"connection authenticated as {session.sid!r}"
             )
+        return session
 
     # -- serving -----------------------------------------------------------
 
@@ -562,328 +519,258 @@ class IbisDaemon:
                 conn.setsockopt(
                     socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
                 )
-            with self._lock:
-                self._conns.add(conn)
             handler = threading.Thread(
                 target=self._serve, args=(conn,), daemon=True
             )
             with self._lock:
-                self._serve_threads.add(handler)
+                self._served[conn] = handler
             handler.start()
 
     def _serve(self, conn):
-        wire = WireState()
-        state = {"session": None}
-        received_mark = 0
-
-        def reply_frame(message):
-            sent = send_frame(conn, message, wire)
-            session = state["session"]
-            if session is not None:
-                session.accounting["bytes_out"] += sent
-
+        link = _Connection(conn)
         try:
             while True:
                 try:
-                    message = recv_frame(conn, wire)
+                    kind, req_id, *fields = link.recv()
                 except (ProtocolError, OSError):
-                    # peer went away — or shutdown closed this socket
-                    # under us while we blocked in recv
-                    return
-                delta_in = wire.bytes_received - received_mark
-                received_mark = wire.bytes_received
-                session = state["session"]
-                if session is not None:
-                    session.accounting["bytes_in"] += delta_in
-                    session.touch()
-                kind, req_id, *rest = message
-                if kind == "hello":
-                    fresh = state["session"] is None
-                    try:
-                        offer = parse_hello(rest)
-                        session = self._attach_session(
-                            state, offer.get("session")
-                        )
-                    except (ProtocolError, PermissionError) as exc:
-                        reply_frame(
-                            ("error", req_id, type(exc).__name__,
-                             str(exc), traceback.format_exc()),
-                        )
-                        continue
-                    if fresh:
-                        # the top-of-loop accounting ran before this
-                        # connection had a session; backfill the hello
-                        session.accounting["bytes_in"] += delta_in
-                    session.touch()
-                    # capability offer (codec list): the daemon is the
-                    # WAN-relay end, so a negotiated codec shrinks
-                    # exactly the modeled-bottleneck hop
-                    caps = accept_capabilities(offer, wire)
-                    if offer.get("relay"):
-                        # relay is a daemon-level capability, not a
-                        # wire one: acked here, honoured by the
-                        # attach_worker splice
-                        caps["relay"] = True
-                    reply_frame(("result", req_id, {
-                        "version": PROTOCOL_VERSION, "caps": caps,
-                        "session": {
-                            "id": session.sid, "token": session.token,
-                        },
-                    }))
-                    continue
-                if kind == "attach_worker":
-                    try:
-                        if session is None:
-                            session = self._attach_session(state, None)
-                            session.accounting["bytes_in"] += delta_in
-                        worker_id = rest[0] if rest else None
-                        self._validate_sid(
-                            session, rest[1] if len(rest) >= 2 else None
-                        )
-                        with self._lock:
-                            worker = session.workers.get(worker_id)
-                        if worker is None:
-                            raise KeyError(
-                                f"unknown worker {worker_id} in "
-                                f"session {session.sid}"
-                            )
-                        if getattr(worker, "relay_sock", None) is None:
-                            raise ProtocolError(
-                                f"worker {worker_id} was not started "
-                                "for relay"
-                            )
-                        if worker.attached:
-                            raise ProtocolError(
-                                f"worker {worker_id} is already "
-                                "relay-attached"
-                            )
-                        worker.attached = True
-                    except BaseException as exc:  # noqa: BLE001 - to peer
-                        session = state["session"]
-                        if session is not None:
-                            session.accounting["errors"] += 1
-                        reply_frame(
-                            ("error", req_id, type(exc).__name__,
-                             str(exc), traceback.format_exc()),
-                        )
-                        continue
-                    reply_frame(("result", req_id,
-                                 {"attached": worker_id}))
-                    session.touch()
-                    # from here this connection is a pure byte pipe to
-                    # the pilot; the serve loop never decodes another
-                    # frame on it
-                    self._relay(conn, session, worker_id, worker)
+                    # peer went away — or shutdown woke this recv
                     return
                 try:
-                    if session is None:
-                        # no-hello client: implicit single-tenant
-                        # session, exactly the paper's original model
-                        session = self._attach_session(state, None)
-                        session.accounting["bytes_in"] += delta_in
-                        session.touch()
-                    reply = self._handle(session, kind, rest)
+                    reply = self._handle(link, kind, fields)
                 except BaseException as exc:  # noqa: BLE001 - to peer
-                    if session is not None:
-                        session.accounting["errors"] += 1
-                    reply_frame(
+                    # a refused hello is not a failed tenant request
+                    if kind != "hello" and link.session is not None:
+                        link.session.accounting["errors"] += 1
+                    link.reply(
                         ("error", req_id, type(exc).__name__,
                          str(exc), traceback.format_exc()),
                     )
                     continue
                 if kind == "mcall":
-                    reply_frame(("mresult", req_id, reply))
+                    link.reply(("mresult", req_id, reply))
                 else:
-                    reply_frame(("result", req_id, reply))
-                if kind == "shutdown":
-                    self.shutdown()
+                    link.reply(("result", req_id, reply))
+                if link.then is not None:
+                    link.then()
                     return
         except OSError:
             # the peer left, or shutdown closed the socket, before a
             # reply went out: nobody is left to answer
             pass
         finally:
+            session = link.session
             with self._lock:
-                self._conns.discard(conn)
-                self._serve_threads.discard(
-                    threading.current_thread()
-                )
-            try:
-                conn.close()
-            except OSError:
-                pass
-            session = state["session"]
-            if session is not None:
-                with self._lock:
+                self._served.pop(conn, None)
+                if session is not None:
                     session.connections -= 1
                     if session.connections <= 0 \
                             and not session.workers:
                         # a tenant whose every connection is gone and
                         # that left no pilots behind holds nothing
                         self._drop_session_locked(session)
+            try:
+                conn.close()
+            except OSError:
+                pass
 
-    def _handle(self, session, kind, rest):
-        """Dispatch one non-hello frame; pilot calls pass admission.
-
-        EVERY in-flight frame counts in ``active_calls`` — a session
-        mid-``start_worker`` (a cold spawn takes longer than a short
-        idle timeout) must not look idle to the reaper."""
+    def _handle(self, link, kind, fields):
+        """Run a frame's handler.  Every frame but hello runs in a
+        session (a client that never said hello gets an implicit
+        single-tenant one) and counts in its ``active_calls`` — a
+        session mid-``start_worker`` must not look idle to the reaper;
+        pilot calls pass admission."""
+        handler = self._FRAMES.get(kind)
+        if kind == "hello":
+            return handler(self, link, *fields)
+        session = self._attach_session(link, None)
+        if handler is None:
+            raise ProtocolError(f"unknown daemon message kind {kind!r}")
         with self._lock:
             session.active_calls += 1
         try:
-            if kind in ("call", "mcall"):
-                admission = self.admission
-                if admission is None:
-                    raise ProtocolError("daemon not started")
-                try:
-                    delay, overloaded = admission.acquire(session.sid)
-                except RuntimeError as exc:
-                    raise ProtocolError(str(exc)) from None
-                session.accounting["queue_s"] += delay
-                if overloaded:
-                    session.accounting["queue_warnings"] += 1
-                    logger.warning(
-                        "daemon load %.2f above %.2f: session %s "
-                        "queued %.1f ms", admission.load,
-                        admission.warn_load, session.sid, delay * 1e3,
-                    )
-                started = time.monotonic()
-                try:
-                    return self._dispatch(session, kind, rest)
-                finally:
-                    session.accounting["compute_s"] += \
-                        time.monotonic() - started
-                    admission.release()
-            return self._dispatch(session, kind, rest)
+            if kind not in ("call", "mcall"):
+                return handler(self, link, *fields)
+            with self.admission.admit(session):
+                return handler(self, link, *fields)
         finally:
             with self._lock:
                 session.active_calls -= 1
             session.touch()
 
-    def _run_worker_call(self, session, worker_id, method, args,
-                         kwargs):
+    def _pilot(self, session, worker_id):
         with self._lock:
-            worker = session.workers.get(worker_id)
-        if worker is None:
+            pilot = session.workers.get(worker_id)
+        if pilot is None:
             raise KeyError(
                 f"unknown worker {worker_id} in session {session.sid}"
             )
-        return worker.call(method, *args, **kwargs)
+        return pilot
 
-    def _dispatch(self, session, kind, rest):
-        if kind == "echo":
-            (payload,) = rest
-            return payload
-        if kind == "start_worker":
-            if len(rest) != 6 or not isinstance(rest[5], dict):
-                raise ProtocolError(
-                    "start_worker takes (factory_bytes, resource, "
-                    "node_count, worker_mode, session_id, options dict); "
-                    f"got {len(rest)} fields"
-                )
-            factory_bytes, resource, node_count, worker_mode, sid, \
-                options = rest
-            if worker_mode is None:
-                worker_mode = self._worker_mode
-            if worker_mode not in _WORKER_MODES:
-                raise ValueError(
-                    f"unknown worker mode {worker_mode!r}; "
-                    f"known: {sorted(_WORKER_MODES)}"
-                )
-            self._validate_sid(session, sid)
-            factory = pickle.loads(factory_bytes)
-            code_name = getattr(
-                getattr(factory, "func", factory), "__name__",
-                type(factory).__name__,
+    # -- control frames: one handler each, the reply is its return ----------
+
+    def _on_hello(self, link, *fields):
+        offer = parse_hello(fields)
+        session = self._attach_session(link, offer.get("session"))
+        # capability offer (codec list): the daemon is the WAN-relay
+        # end, so a negotiated codec shrinks exactly the
+        # modeled-bottleneck hop
+        caps = accept_capabilities(offer, link.wire)
+        if offer.get("relay"):
+            # relay is a daemon-level capability, not a wire one: acked
+            # here, honoured by the attach_worker splice
+            caps["relay"] = True
+        return {
+            "version": PROTOCOL_VERSION, "caps": caps,
+            "session": {"id": session.sid, "token": session.token},
+        }
+
+    def _on_attach_worker(self, link, worker_id=None, sid=None):
+        session = self._session(link, sid)
+        pilot = self._pilot(session, worker_id)
+        if pilot.relay_sock is None:
+            raise ProtocolError(
+                f"worker {worker_id} was not started for relay"
             )
-            if options.get("relay") and worker_mode == "thread":
-                worker = _RelayThreadWorker(factory)
-            elif options.get("relay"):
-                # relay shm pilots are plain subprocess spawns: the shm
-                # leg is negotiated client<->pilot end to end through
-                # the splice, not with the daemon
-                worker = _RelaySubprocessWorker(
-                    factory, mode=worker_mode, warm_pool=self.warm_pool,
-                )
-            elif worker_mode == "thread":
-                worker = _ThreadWorker(factory())
-                code_name = type(worker.interface).__name__
-            else:
-                worker = _SubprocessWorker(
-                    factory, shm=(worker_mode == "shm"),
-                    warm_pool=self.warm_pool,
-                )
-            if worker_mode != "thread":
-                key = "warm_hits" if worker.warm_hit else "cold_spawns"
-                session.accounting[key] += 1
-            with self._lock:
-                # a session reaped or closed while the worker spawned
-                # must not adopt it — the orphan would outlive every
-                # stop path (and leak its /dev/shm segments)
-                live = session.sid in self._sessions
-                if live:
-                    worker_id = next(self._worker_ids)
-                    session.workers[worker_id] = worker
-                    session.worker_meta[worker_id] = {
-                        "resource": resource,
-                        "node_count": node_count,
-                        "code": code_name,
-                        "mode": worker.mode,
-                        "pid": worker.pid,
-                        "warm": worker.warm_hit,
-                        "relay": getattr(worker, "relay_sock", None)
-                        is not None,
-                    }
-            if not live:
-                try:
-                    worker.stop()
-                except Exception:  # noqa: BLE001 - teardown best-effort
-                    pass
-                raise ProtocolError(
-                    f"session {session.sid} expired while the worker "
-                    "was starting"
-                )
-            return worker_id
-        if kind == "call":
-            worker_id, method, args, kwargs, *opt = rest
-            self._validate_sid(session, opt[0] if opt else None)
-            session.accounting["calls"] += 1
-            return self._run_worker_call(
-                session, worker_id, method, args, kwargs
+        if pilot.attached:
+            raise ProtocolError(
+                f"worker {worker_id} is already relay-attached"
             )
-        if kind == "mcall":
-            worker_id, calls, *opt = rest
-            self._validate_sid(session, opt[0] if opt else None)
-            session.accounting["calls"] += len(calls)
-            return [
-                call_entry(
-                    lambda m=method, a=args, k=kwargs:
-                    self._run_worker_call(session, worker_id, m, a, k)
-                )
-                for method, args, kwargs in calls
-            ]
-        if kind == "stop_worker":
-            worker_id, *opt = rest
-            self._validate_sid(session, opt[0] if opt else None)
-            with self._lock:
-                worker = session.workers.pop(worker_id, None)
-                session.worker_meta.pop(worker_id, None)
-            if worker is not None:
-                worker.stop()
-            return True
-        if kind == "list_workers":
-            with self._lock:
-                return dict(session.worker_meta)
-        if kind == "status":
-            return self._status(session)
-        if kind == "close_session":
-            with self._lock:
-                self._drop_session_locked(session)
-            self._stop_session_workers(session)
-            return True
-        if kind == "shutdown":
-            return True
-        raise ProtocolError(f"unknown daemon message kind {kind!r}")
+        pilot.attached = True
+        # after the ack this connection is a pure byte pipe to the
+        # pilot; the serve loop never decodes another frame on it
+        link.then = lambda: self._relay(
+            link.sock, session, worker_id, pilot
+        )
+        return {"attached": worker_id}
+
+    def _on_echo(self, link, payload):
+        return payload
+
+    def _on_start_worker(self, link, *fields):
+        if len(fields) != 6 or not isinstance(fields[5], dict):
+            raise ProtocolError(
+                "start_worker takes (factory_bytes, resource, "
+                "node_count, worker_mode, session_id, options dict); "
+                f"got {len(fields)} fields"
+            )
+        factory_bytes, resource, node_count, worker_mode, sid, \
+            options = fields
+        if worker_mode is None:
+            worker_mode = self._worker_mode
+        _check_mode(worker_mode)
+        session = self._session(link, sid)
+        pilot = _Pilot(
+            factory_bytes, worker_mode, bool(options.get("relay")),
+            self.warm_pool,
+        )
+        if worker_mode != "thread":
+            key = "warm_hits" if pilot.warm else "cold_spawns"
+            session.accounting[key] += 1
+        with self._lock:
+            # a session reaped or closed while the pilot spawned must
+            # not adopt it — the orphan would outlive every stop path
+            # (and leak its /dev/shm segments)
+            live = session.sid in self._sessions
+            if live:
+                worker_id = next(self._worker_ids)
+                session.workers[worker_id] = pilot
+                session.worker_meta[worker_id] = {
+                    "resource": resource,
+                    "node_count": node_count,
+                    "code": pilot.code,
+                    "mode": pilot.mode,
+                    "pid": pilot.pid,
+                    "warm": pilot.warm,
+                    "relay": pilot.relay,
+                }
+        if not live:
+            try:
+                pilot.stop()
+            except Exception:  # noqa: BLE001 - teardown best-effort
+                pass
+            raise ProtocolError(
+                f"session {session.sid} expired while the worker "
+                "was starting"
+            )
+        return worker_id
+
+    def _on_call(self, link, worker_id, method, args, kwargs, sid=None):
+        session = self._session(link, sid)
+        session.accounting["calls"] += 1
+        return self._pilot(session, worker_id).call(
+            method, *args, **kwargs
+        )
+
+    def _on_mcall(self, link, worker_id, calls, sid=None):
+        session = self._session(link, sid)
+        session.accounting["calls"] += len(calls)
+        return [
+            call_entry(
+                lambda m=method, a=args, k=kwargs:
+                self._pilot(session, worker_id).call(m, *a, **k)
+            )
+            for method, args, kwargs in calls
+        ]
+
+    def _on_stop_worker(self, link, worker_id, sid=None):
+        session = self._session(link, sid)
+        with self._lock:
+            pilot = session.workers.pop(worker_id, None)
+            session.worker_meta.pop(worker_id, None)
+        if pilot is not None:
+            pilot.stop()
+        return True
+
+    def _on_list_workers(self, link):
+        with self._lock:
+            return dict(link.session.worker_meta)
+
+    def _on_status(self, link):
+        with self._lock:
+            n_sessions = len(self._sessions)
+        uptime = 0.0 if self._started_at is None else \
+            time.monotonic() - self._started_at
+        return {
+            "session": link.session.snapshot(),
+            "daemon": {
+                "sessions": n_sessions,
+                "reaped_sessions": self.reaped_sessions,
+                "worker_mode": self._worker_mode,
+                "idle_timeout": self._idle_timeout,
+                "max_sessions": self._max_sessions,
+                "uptime_s": round(uptime, 3),
+                "admission": self.admission.stats(),
+                "warm_pool": self.warm_pool.stats()
+                if self.warm_pool is not None
+                else {"size": 0, "idle": 0, "claimed": 0},
+            },
+        }
+
+    def _on_close_session(self, link):
+        session = link.session
+        with self._lock:
+            self._drop_session_locked(session)
+        self._stop_session_workers(session)
+        return True
+
+    def _on_shutdown(self, link):
+        link.then = self.shutdown
+        return True
+
+    #: the control frames, by kind
+    _FRAMES = {
+        "hello": _on_hello,
+        "attach_worker": _on_attach_worker,
+        "echo": _on_echo,
+        "start_worker": _on_start_worker,
+        "call": _on_call,
+        "mcall": _on_mcall,
+        "stop_worker": _on_stop_worker,
+        "list_workers": _on_list_workers,
+        "status": _on_status,
+        "close_session": _on_close_session,
+        "shutdown": _on_shutdown,
+    }
 
     # -- relay data plane ----------------------------------------------------
 
@@ -982,28 +869,6 @@ class IbisDaemon:
         except OSError:
             pass
         scratch.close()
-
-    def _status(self, session):
-        with self._lock:
-            n_sessions = len(self._sessions)
-        uptime = 0.0 if self._started_at is None else \
-            time.monotonic() - self._started_at
-        return {
-            "session": session.snapshot(),
-            "daemon": {
-                "sessions": n_sessions,
-                "reaped_sessions": self.reaped_sessions,
-                "worker_mode": self._worker_mode,
-                "idle_timeout": self._idle_timeout,
-                "max_sessions": self._max_sessions,
-                "uptime_s": round(uptime, 3),
-                "admission": self.admission.stats()
-                if self.admission is not None else None,
-                "warm_pool": self.warm_pool.stats()
-                if self.warm_pool is not None
-                else {"size": 0, "idle": 0, "claimed": 0},
-            },
-        }
 
     # -- convenience ---------------------------------------------------------------
 

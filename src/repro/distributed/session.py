@@ -39,6 +39,7 @@ the tenant's pilots and releases the session.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import os
@@ -231,6 +232,29 @@ class AdmissionController:
             self._active -= 1
             self._cond.notify_all()
 
+    @contextlib.contextmanager
+    def admit(self, session):
+        """Hold a slot for one pilot call of *session*, accounting its
+        queue delay, overload warnings and compute time; a closed
+        controller refuses with :class:`ProtocolError`."""
+        try:
+            delay, overloaded = self.acquire(session.sid)
+        except RuntimeError as exc:
+            raise ProtocolError(str(exc)) from None
+        session.accounting["queue_s"] += delay
+        if overloaded:
+            session.accounting["queue_warnings"] += 1
+            logger.warning(
+                "daemon load %.2f above %.2f: session %s queued %.1f ms",
+                self.load, self.warn_load, session.sid, delay * 1e3,
+            )
+        started = time.monotonic()
+        try:
+            yield
+        finally:
+            session.accounting["compute_s"] += time.monotonic() - started
+            self.release()
+
     def close(self, drain_timeout=5.0):
         """Reject new work, cancel waiters, drain active calls.
 
@@ -272,12 +296,11 @@ class WarmWorkerPool:
     #: plus the codes package dominate cold import time
     DEFAULT_PRELOAD = ("numpy", "repro.codes")
 
-    def __init__(self, size, preload=None, spawn_timeout=30.0):
+    def __init__(self, size, preload=None):
         self.size = int(size)
         self.preload = list(
             self.DEFAULT_PRELOAD if preload is None else preload
         )
-        self._spawn_timeout = float(spawn_timeout)
         self._idle = deque()
         self._lock = threading.Lock()
         self._wake = threading.Event()
@@ -294,10 +317,7 @@ class WarmWorkerPool:
     def _spawn(self):
         from ..rpc.subproc import SubprocessChannel
 
-        return SubprocessChannel(
-            warm=True, preload=self.preload,
-            spawn_timeout=self._spawn_timeout,
-        )
+        return SubprocessChannel(warm=True, preload=self.preload)
 
     def _fill_loop(self):
         while not self._stopped:
@@ -378,7 +398,10 @@ class WarmWorkerPool:
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass
         if self._filler is not None:
-            self._filler.join(timeout=self._spawn_timeout)
+            from ..rpc.subproc import SPAWN_TIMEOUT
+
+            # the filler may be mid-spawn, waiting on a child's connect
+            self._filler.join(timeout=SPAWN_TIMEOUT)
 
 
 # -- client side ------------------------------------------------------------

@@ -241,7 +241,7 @@ def attach_peer_arenas(wire, shm_offer):
 
 def ShmChannel(interface_factory, worker_mode="thread", host="127.0.0.1",
                segment_size=DEFAULT_SEGMENT_SIZE, shm_min=SHM_MIN_DEFAULT,
-               stop_timeout=10.0, spawn_timeout=30.0, kill_timeout=5.0):
+               stop_timeout=10.0, kill_timeout=5.0):
     """Build a same-host shared-memory channel (``channel_type="shm"``).
 
     ``worker_mode="thread"`` serves the worker from an in-process
@@ -260,8 +260,7 @@ def ShmChannel(interface_factory, worker_mode="thread", host="127.0.0.1",
         from .subproc import SubprocessChannel  # lazy: -m entrypoint
 
         return SubprocessChannel(
-            interface_factory, spawn_timeout=spawn_timeout,
-            kill_timeout=kill_timeout, **common,
+            interface_factory, kill_timeout=kill_timeout, **common,
         )
     raise ValueError(
         f"unknown shm worker mode {worker_mode!r}; "

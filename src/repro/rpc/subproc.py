@@ -56,10 +56,14 @@ from .protocol import (
     send_frame,
 )
 
-__all__ = ["SubprocessChannel", "main"]
+__all__ = ["SPAWN_TIMEOUT", "SubprocessChannel", "main"]
 
 #: how much captured child stderr is kept for crash reports
 _STDERR_TAIL_BYTES = 8192
+
+#: seconds a spawned child gets to connect back, and to ack its
+#: bootstrap frame
+SPAWN_TIMEOUT = 30.0
 
 
 # -- orphan reaping ---------------------------------------------------------
@@ -139,7 +143,7 @@ class SubprocessChannel(StreamChannel):
     _lost_message = "subprocess worker connection lost"
 
     def __init__(self, interface_factory=None, host="127.0.0.1",
-                 spawn_timeout=30.0, stop_timeout=10.0,
+                 stop_timeout=10.0,
                  kill_timeout=5.0, compress=None, compress_min=None,
                  shm_segment_size=None, shm_min=None,
                  warm=False, preload=None):
@@ -150,7 +154,6 @@ class SubprocessChannel(StreamChannel):
                 "warm=True pre-spawns a factory-less worker; pass the "
                 "interface factory to activate() instead"
             )
-        self._spawn_timeout = float(spawn_timeout)
         self._stop_timeout = float(stop_timeout)
         self._kill_timeout = float(kill_timeout)
         self._compress_min = compress_min
@@ -183,7 +186,7 @@ class SubprocessChannel(StreamChannel):
         try:
             listener.bind(bind_to)
             listener.listen(1)
-            listener.settimeout(self._spawn_timeout)
+            listener.settimeout(SPAWN_TIMEOUT)
             if listener.family == socket.AF_INET:
                 self.address = listener.getsockname()
                 connect_arg = f"{self.address[0]}:{self.address[1]}"
@@ -250,7 +253,7 @@ class SubprocessChannel(StreamChannel):
         self._compress_min = compress_min
         self._shm_min = shm_min
         try:
-            self._sock.settimeout(self._spawn_timeout)
+            self._sock.settimeout(SPAWN_TIMEOUT)
             self._bootstrap(interface_factory)
             caps = self._offer_capabilities(
                 compress=compress, compress_min=compress_min,
@@ -286,7 +289,7 @@ class SubprocessChannel(StreamChannel):
                 "needs a parked worker"
             )
         try:
-            self._sock.settimeout(self._spawn_timeout)
+            self._sock.settimeout(SPAWN_TIMEOUT)
             self._bootstrap(interface_factory)
             self._sock.settimeout(None)
         except BaseException as exc:
@@ -346,9 +349,13 @@ class SubprocessChannel(StreamChannel):
         return self._proc.pid
 
     def _bootstrap(self, interface_factory):
-        """Ship the pickled factory; the child acks once the interface
-        is constructed (or reports the constructor's failure)."""
-        factory_bytes = pickle.dumps(interface_factory, protocol=5)
+        """Ship the factory — pickled here, unless it arrives as pickle
+        bytes already (a daemon forwards its tenant's bytes as sent) —;
+        the child acks with its pid and interface class name once the
+        interface is constructed (or reports the failure)."""
+        factory_bytes = interface_factory
+        if not isinstance(factory_bytes, bytes):
+            factory_bytes = pickle.dumps(interface_factory, protocol=5)
         self.bytes_sent += send_frame(
             self._sock, ("factory", 0, factory_bytes)
         )
@@ -357,6 +364,7 @@ class SubprocessChannel(StreamChannel):
             _kind, _call_id, exc_class, msg, tb = reply
             raise RemoteError(exc_class, msg, tb)
         self.worker_pid = reply[2]["pid"]
+        self.interface_name = reply[2]["interface"]
 
     def _abort_spawn(self, listener):
         """Constructor failure: close sockets, release any offered shm
@@ -506,22 +514,14 @@ register_channel_factory("subprocess", SubprocessChannel)
 # -- worker side ------------------------------------------------------------
 
 
-def _load_interface(spec):
-    """Resolve a "module:Class" spec to the interface class."""
-    module_name, _, qualname = spec.partition(":")
-    obj = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
 def main(argv=None):
     """Worker bootstrap: connect back, build the interface, serve.
 
     Spawned as ``python -m repro.rpc.subproc --connect host:port
-    --interface mod:Class``.  The authoritative interface factory
-    arrives pickled in the first frame; ``--interface`` is the fallback
-    (and the human-readable label in process listings).
+    --interface mod:Class``.  The interface factory arrives pickled in
+    the first frame and is unpickled here, in the process that runs it;
+    ``--interface`` is only the human-readable label in process
+    listings.
     """
     import argparse
 
@@ -538,8 +538,8 @@ def main(argv=None):
     )
     parser.add_argument(
         "--interface", default=None, metavar="MOD:CLASS",
-        help="interface class (fallback when the bootstrap frame "
-             "carries no factory)",
+        help="interface class, as a label for process listings (the "
+             "factory itself arrives in the bootstrap frame)",
     )
     parser.add_argument(
         "--preload", default=None, metavar="MOD[,MOD...]",
@@ -580,21 +580,14 @@ def main(argv=None):
                           f"expected factory frame, got {kind!r}", ""))
         return 1
     try:
-        factory_bytes = rest[0]
-        if factory_bytes is not None:
-            factory = pickle.loads(factory_bytes)
-        elif args.interface is not None:
-            factory = _load_interface(args.interface)
-        else:
-            raise ProtocolError(
-                "no factory in bootstrap frame and no --interface"
-            )
-        interface = factory()
+        interface = pickle.loads(rest[0])()
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         send_frame(conn, ("error", call_id, type(exc).__name__,
                           str(exc), traceback.format_exc()))
         return 1
-    send_frame(conn, ("result", call_id, {"pid": os.getpid()}))
+    send_frame(conn, ("result", call_id, {
+        "pid": os.getpid(), "interface": type(interface).__name__,
+    }))
 
     worker_loop(interface, conn)
     return 0

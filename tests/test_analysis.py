@@ -69,6 +69,14 @@ class TestRuleFamilies:
         # the constant that IS packed and compared stays quiet
         assert not any("MAGIC_USED" in k for k in keys)
 
+    def test_frame_kind_missing_from_table_detected(self):
+        keys = _keys(analyze(
+            str(FIXTURES / "frame_table.py"),
+            rules=["frame-conformance"],
+        ))
+        # the table's key is a dispatch arm; the kind it lacks is not
+        assert keys == ["frame-conformance:unhandled:orphan"]
+
     def test_leaked_shm_segment_detected(self):
         findings = analyze(
             str(FIXTURES / "leak_shm.py"), rules=["resource-lifecycle"]

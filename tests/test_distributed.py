@@ -1,11 +1,19 @@
 """Distributed AMUSE tests: daemon, ibis channel, pilots, faults."""
 
+import glob
+import os
 import pickle
+import re
 import socket
+import threading
+import time
+from multiprocessing import resource_tracker
 
 import pytest
 
+import repro.distributed.daemon as daemon_mod
 from repro.codes import PhiGRAPE
+from repro.codes.testing import ArrayEchoInterface
 from repro.codes.phigrape import PhiGRAPEInterface
 from repro.distributed import (
     DistributedAmuse,
@@ -15,11 +23,17 @@ from repro.distributed import (
     JungleRunner,
     ResourceSpec,
     WorkerDiedError,
+    connect,
 )
 from repro.ic import new_plummer_model
 from repro.jungle import make_sc11_jungle
 from repro.rpc import RemoteError
-from repro.rpc.protocol import PROTOCOL_VERSION, recv_frame, send_frame
+from repro.rpc.protocol import (
+    PROTOCOL_VERSION,
+    WireState,
+    recv_frame,
+    send_frame,
+)
 from repro.units import nbody_system, units
 
 pytestmark = pytest.mark.network
@@ -112,6 +126,252 @@ class TestDaemon:
             assert status["session"]["accounting"]["errors"] == 1
         finally:
             client.close()
+
+
+def _child_pids():
+    """Live children of this process, bar multiprocessing's resource
+    tracker (started by the first shared-memory segment, it lives as
+    long as the process)."""
+    pids = set()
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        try:
+            with open(path) as f:
+                pids.update(int(pid) for pid in f.read().split())
+        except FileNotFoundError:       # that thread just exited
+            pass
+    pids.discard(resource_tracker._resource_tracker._pid)
+    return pids
+
+
+def _settle(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+#: every pilot: worker mode x data plane (relay or decoded) x warm-pool
+#: claim or cold spawn (thread pilots never spawn)
+PILOTS = [("thread", relay, False) for relay in (False, True)] + [
+    (mode, relay, warm)
+    for mode in ("subprocess", "shm")
+    for relay in (False, True)
+    for warm in (False, True)
+]
+
+
+class TestPilotMatrix:
+    @pytest.mark.parametrize(
+        "mode,relay,warm", PILOTS,
+        ids=[f"{m}-{'relay' if r else 'decoded'}-{'warm' if w else 'cold'}"
+             for m, r, w in PILOTS],
+    )
+    def test_pilot(self, mode, relay, warm):
+        with IbisDaemon(warm_pool=1 if warm else 0) as daemon:
+            if warm:
+                assert daemon.warm_pool.ready(1, timeout=60)
+            shm_before = set(os.listdir("/dev/shm"))
+            with connect(daemon, relay=relay) as session:
+                threads_before = set(threading.enumerate())
+                children_before = _child_pids()
+                ch = session.code(ArrayEchoInterface, channel_type=mode)
+                meta = session._link._request(
+                    ("list_workers",)
+                ).result(timeout=10)[ch.worker_id]
+                assert meta["mode"] == mode
+                assert meta["warm"] is warm
+                assert meta["relay"] is relay
+                assert meta["code"] == "ArrayEchoInterface"
+                if mode == "thread":
+                    assert meta["pid"] is None
+                else:
+                    # a warm claim is a child parked before the session
+                    assert meta["pid"] in _child_pids()
+                assert ch.call("scale", 2.0, 4.0) == 8.0
+                assert ch.relayed is relay
+                ch.stop()
+
+                def parked():
+                    # the pool refills behind a warm claim
+                    if daemon.warm_pool is None:
+                        return set()
+                    return {
+                        c.pid for c in list(daemon.warm_pool._idle)
+                    }
+
+                assert _settle(lambda: not (
+                    _child_pids() - children_before - parked()
+                ))
+
+                def new_threads():
+                    return {
+                        t for t in threading.enumerate()
+                        if t not in threads_before
+                        and t.name != "subproc-stderr"
+                    }
+
+                assert _settle(lambda: not new_threads()), new_threads()
+                assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+class TestFactoryUnpickling:
+    """The pilot factory is unpickled only in the process that runs
+    it: the daemon for a thread pilot, the child otherwise."""
+
+    @pytest.mark.parametrize("mode", ["thread", "subprocess", "shm"])
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_daemon_unpickles_only_thread_factories(
+        self, daemon, monkeypatch, mode, relay
+    ):
+        factory_bytes = pickle.dumps(ArrayEchoInterface, protocol=5)
+        real_loads = daemon_mod.pickle.loads
+        factory_loads = []
+
+        def spy(data, *args, **kwargs):
+            if bytes(data) == factory_bytes:
+                factory_loads.append(threading.current_thread().name)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(daemon_mod.pickle, "loads", spy)
+        with connect(daemon, relay=relay) as session:
+            ch = session.code(ArrayEchoInterface, channel_type=mode)
+            assert ch.call("scale", 1.5, 2.0) == 3.0
+            ch.stop()
+        assert len(factory_loads) == (1 if mode == "thread" else 0)
+
+    @pytest.mark.parametrize("mode", ["thread", "subprocess", "shm"])
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_unpicklable_factory_is_an_error_reply(self, daemon, mode,
+                                                   relay):
+        children_before = _child_pids()
+        client = socket.create_connection(daemon.address)
+        try:
+            send_frame(client, ("hello", 1, PROTOCOL_VERSION, {}))
+            assert recv_frame(client)[:2] == ("result", 1)
+            send_frame(client, (
+                "start_worker", 2, b"not a pickle", "local", 1, mode,
+                None, {"relay": relay},
+            ))
+            reply = recv_frame(client)
+            assert reply[:2] == ("error", 2)
+            assert "UnpicklingError" in reply[2] + reply[3]
+            send_frame(client, ("status", 3))
+            status = recv_frame(client)[2]["session"]
+            assert status["workers"] == {}
+            assert status["accounting"]["errors"] == 1
+        finally:
+            client.close()
+        assert _settle(lambda: not (_child_pids() - children_before))
+
+
+class TestControlFrameAccounting:
+    """One scripted frame sequence pins the per-session accounting the
+    status endpoint reports, frame by frame."""
+
+    def test_scripted_sequence(self, daemon):
+        conn = socket.create_connection(daemon.address)
+        joined = socket.create_connection(daemon.address)
+        wire, joined_wire = WireState(), WireState()
+        expected = {"bytes_in": 0, "bytes_out": 0}
+
+        def exchange(sock, sock_wire, message, counted=True):
+            received = sock_wire.bytes_received
+            sent = send_frame(sock, message)
+            reply = recv_frame(sock, sock_wire)
+            if counted:
+                expected["bytes_in"] += sent
+                expected["bytes_out"] += \
+                    sock_wire.bytes_received - received
+            return reply
+
+        try:
+            # no hello: the echo opens an implicit session
+            assert exchange(conn, wire, ("echo", 1, b"x" * 1000)) \
+                == ("result", 1, b"x" * 1000)
+            # a refused hello on that session counts bytes, not errors
+            assert exchange(conn, wire, ("hello", 2, -1, {}))[0] \
+                == "error"
+            ack = exchange(conn, wire, ("hello", 3, PROTOCOL_VERSION, {}))
+            token = ack[2]["session"]["token"]
+            # a refused hello on a fresh connection counts nothing; the
+            # join that follows backfills its own hello bytes
+            assert exchange(joined, joined_wire, ("hello", 1, -1, {}),
+                            counted=False)[0] == "error"
+            exchange(joined, joined_wire, (
+                "hello", 2, PROTOCOL_VERSION,
+                {"session": {"join": token}},
+            ))
+            factory = pickle.dumps(ArrayEchoInterface, protocol=5)
+            kind, _, worker = exchange(conn, wire, (
+                "start_worker", 4, factory, "local", 1, "thread", None,
+                {},
+            ))
+            assert kind == "result"
+            assert exchange(
+                conn, wire, ("call", 5, worker, "scale", (2.0, 3.0), {})
+            )[:3] == ("result", 5, 6.0)
+            assert exchange(
+                conn, wire, ("call", 6, worker, "no_such", (), {})
+            )[0] == "error"
+            kind, _, entries = exchange(conn, wire, (
+                "mcall", 7, worker,
+                [("scale", (1.0, 2.0), {}), ("no_such", (), {})],
+            ))
+            assert kind == "mresult" and len(entries) == 2
+            # a decoded pilot cannot be spliced
+            assert exchange(
+                conn, wire, ("attach_worker", 8, worker)
+            )[0] == "error"
+            kind, _, relayed = exchange(joined, joined_wire, (
+                "start_worker", 3, factory, "local", 1, "thread", None,
+                {"relay": True},
+            ))
+            assert exchange(
+                joined, joined_wire, ("attach_worker", 4, relayed)
+            )[:2] == ("result", 4)
+            sent = send_frame(conn, ("status", 9))
+            expected["bytes_in"] += sent
+            status = recv_frame(conn, wire)[2]["session"]
+        finally:
+            conn.close()
+            joined.close()
+        accounting = status["accounting"]
+        assert {
+            key: accounting[key]
+            for key in ("calls", "errors", "warm_hits", "cold_spawns",
+                        "relay_frames", "queue_warnings")
+        } == {
+            "calls": 4, "errors": 2, "warm_hits": 0, "cold_spawns": 0,
+            "relay_frames": 0, "queue_warnings": 0,
+        }
+        assert accounting["bytes_in"] == expected["bytes_in"]
+        assert accounting["bytes_out"] == expected["bytes_out"]
+        assert status["connections"] == 2
+
+
+class TestDaemonTeardown:
+    def test_shutdown_wakes_every_daemon_thread(self):
+        before = set(threading.enumerate())
+        daemon = IbisDaemon()
+        daemon.start()
+        session = connect(daemon)
+        pilot = session.code(ArrayEchoInterface, channel_type="thread")
+        assert pilot.call("scale", 1.0, 2.0) == 2.0
+        started = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - started < 1.0
+        served = re.compile(r"Thread-\d+ \((_accept_loop|_serve)\)")
+        assert not [
+            t.name for t in threading.enumerate()
+            if t not in before and served.fullmatch(t.name)
+        ]
+        # the hang-up reaches the client: its readers see EOF and exit
+        assert _settle(lambda: not [
+            t for t in threading.enumerate()
+            if t not in before and t.name.endswith("(_read_responses)")
+        ], timeout=2.0)
+        session._closed = True               # daemon side already gone
+        session._link.close()
 
 
 class TestIbisChannelHighLevel:
