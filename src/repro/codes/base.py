@@ -114,10 +114,17 @@ class InCodeParticleStorage:
     The id array is therefore its own index — :meth:`rows` is a binary
     search on it, with no second id -> row table to keep in step.
 
-    ``get(name, ids)`` with ids given returns a *fresh* array in every
-    case: on the ``direct`` channel nothing else stands between these
-    arrays and the script's mirror.  ``get(name)`` hands out the live
-    array (the kernels' own access).
+    Two reads, one per kind of caller:
+
+    * ``get(name)`` hands out the live array: the kernels' own access.
+    * ``read(name, ids)`` returns a *fresh* array in every case, and
+      ``ids=None`` means the whole set: what the RPC getters hand out.
+      On the ``direct`` channel nothing else stands between these
+      arrays and the script's mirror, which keeps what it is given.
+
+    ``get(name, ids)`` with ids given is ``read``.  The writes ``set``
+    and ``add_to`` read ``ids=None`` as the whole set too, so a code
+    whose caller means "every particle I registered" sends no ids.
     """
 
     def __init__(self, fields):
@@ -163,9 +170,10 @@ class InCodeParticleStorage:
     def rows(self, ids):
         """Index selecting the given particle ids, usable as
         ``arr[rows]``: ``slice(None)`` when *ids* is the whole set in
-        storage order (what the high-level wrappers always ask for; the
-        selection is then a view, not a gather), else an array of row
-        numbers.  Unknown ids raise ``KeyError``."""
+        storage order (the selection is then a view, not a gather),
+        else an array of row numbers.  Unknown ids raise ``KeyError``.
+        The high-level wrappers ask for the whole set with no ids at
+        all, so this runs only for explicit ids."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         if np.array_equal(ids, self.ids):
             return _ALL
@@ -182,10 +190,13 @@ class InCodeParticleStorage:
         return rows
 
     def get(self, name, ids=None):
-        arr = self.arrays[name]
         if ids is None:
-            return arr
-        rows = self.rows(ids)
+            return self.arrays[name]
+        return self.read(name, ids)
+
+    def read(self, name, ids=None):
+        arr = self.arrays[name]
+        rows = _ALL if ids is None else self.rows(ids)
         return arr.copy() if rows is _ALL else arr[rows]
 
     def set(self, name, values, ids=None):
@@ -385,12 +396,12 @@ class ParticleStateMixin:
 
     def get_state(self, ids=None):
         st = self.storage
-        p = st.get("pos", ids)
-        v = st.get("vel", ids)
+        p = st.read("pos", ids)
+        v = st.read("vel", ids)
         return (
-            st.get("mass", ids), p[:, 0], p[:, 1], p[:, 2],
+            st.read("mass", ids), p[:, 0], p[:, 1], p[:, 2],
             v[:, 0], v[:, 1], v[:, 2],
-            *(st.get(name, ids) for name in self.EXTRA_STATE),
+            *(st.read(name, ids) for name in self.EXTRA_STATE),
         )
 
     def set_state(self, ids, mass, x, y, z, vx, vy, vz, *extra):
@@ -404,13 +415,13 @@ class ParticleStateMixin:
         return 0
 
     def get_mass(self, ids=None):
-        return self.storage.get("mass", ids)
+        return self.storage.read("mass", ids)
 
     def get_position(self, ids=None):
-        return self.storage.get("pos", ids)
+        return self.storage.read("pos", ids)
 
     def get_velocity(self, ids=None):
-        return self.storage.get("vel", ids)
+        return self.storage.read("vel", ids)
 
     def set_mass(self, ids, mass):
         self._state_written("mass")

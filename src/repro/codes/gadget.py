@@ -238,7 +238,7 @@ class GadgetInterface(ParticleStateMixin, CodeInterface):
             self.invalidate_model()
 
     def get_internal_energy(self, ids=None):
-        return self.storage.get("u", ids)
+        return self.storage.read("u", ids)
 
     def set_internal_energy(self, ids, u):
         # feedback injection path: no state invalidation (paper Fig. 7:
@@ -251,10 +251,10 @@ class GadgetInterface(ParticleStateMixin, CodeInterface):
         return 0
 
     def get_density(self, ids=None):
-        return self.storage.get("rho", ids)
+        return self.storage.read("rho", ids)
 
     def get_smoothing_length(self, ids=None):
-        return self.storage.get("h", ids)
+        return self.storage.read("h", ids)
 
     # -- dynamics ---------------------------------------------------------------
 

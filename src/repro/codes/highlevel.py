@@ -133,11 +133,12 @@ def _query(method, unit, ids=False, field=False):
 def _mutation(name, method, unit, mirror=None, subset=False):
     """Row factory for the mutation *name*: worker *method* applied to
     this code's particles — with *subset*, to those at the mirror
-    indices given as the first argument — with one value converted to
-    *unit*: the caller's, or the mirror attribute *mirror*.  It is a
-    transition, so it is refused while another one is in flight and
-    blocks new ones until its future is joined; a code without
-    particles sends nothing."""
+    indices given as the first argument, whose ids it sends; else to
+    all of them, which it says with ``ids=None`` — with one value
+    converted to *unit*: the caller's, or the mirror attribute
+    *mirror*.  It is a transition, so it is refused while another one
+    is in flight and blocks new ones until its future is joined; a
+    code without particles sends nothing."""
 
     def launch(self, *args):
         if not len(self._ids):
@@ -145,11 +146,11 @@ def _mutation(name, method, unit, mirror=None, subset=False):
             return Future.completed(None)
 
         def call():
-            ids = self._ids
+            ids = None
             rest = args
             if subset:
                 indices, *rest = args
-                ids = ids[np.asarray(indices, dtype=np.intp)]
+                ids = self._ids[np.asarray(indices, dtype=np.intp)]
             (value,) = rest if mirror is None else \
                 (getattr(self.particles, mirror),)
             return self.channel.async_call(
@@ -418,22 +419,30 @@ class CommunityCode:
     def _pull_requests(self):
         """Send the getters of one mirror refresh — every
         ``_STATE_ATTRS`` column in one batched frame, nothing for a
-        code without particles — and return their requests."""
+        code without particles — and return their requests.  The
+        getters carry no ids: ``None`` asks for every particle this
+        code registered, in registration order, which is the mirror's
+        order."""
         if not len(self._ids):
             return []
         with self.channel.batch():
             return [
-                self.channel.async_call(getter, self._ids)
+                self.channel.async_call(getter)
                 for getter, _setter, _attr, _unit in self._STATE_ATTRS
             ]
 
     def _apply_pull(self, values):
-        """Write the values of :meth:`_pull_requests` into the mirror,
-        in script units."""
+        """Hand the values of :meth:`_pull_requests` to the mirror, in
+        script units.  Nothing else holds them — the wire decoder
+        receives into fresh buffers, and a worker getter copies even
+        on the ``direct`` channel — so the mirror keeps each column as
+        it is, with no copy of its own."""
         if values:
             for (_getter, _setter, attr, unit), value in zip(
                     self._STATE_ATTRS, values, strict=True):
-                setattr(self.particles, attr, self._from_code(value, unit))
+                self.particles._adopt_attribute(
+                    attr, self._from_code(value, unit)
+                )
         return self.particles
 
     @remote_method
@@ -569,7 +578,8 @@ class GravitationalDynamicsCode(CommunityCode):
     @remote_method
     def push_state(self):
         """Send every mirror attribute in ``_STATE_ATTRS`` to the
-        worker in one batched frame."""
+        worker in one batched frame, to all of its particles
+        (``ids=None``)."""
         if not len(self._ids):
             self._require_edit("push_state")
             return Future.completed(None)
@@ -581,7 +591,7 @@ class GravitationalDynamicsCode(CommunityCode):
             ]
             with self.channel.batch():
                 return [
-                    self.channel.async_call(setter, self._ids, value)
+                    self.channel.async_call(setter, None, value)
                     for setter, value in writes
                 ]
 
@@ -724,16 +734,17 @@ class SSE(CommunityCode):
     def _pull_requests(self):
         if not len(self._ids):
             return []
-        return [self.channel.async_call("get_state", self._ids)]
+        return [self.channel.async_call("get_state")]
 
     def _apply_pull(self, values):
         if values:
             mass, radius, lum, teff, stype = values[0]
-            self.particles.mass = Quantity(mass, u.MSun)
-            self.particles.radius = Quantity(radius, u.RSun)
-            self.particles.luminosity = Quantity(lum, u.LSun)
-            self.particles.temperature = Quantity(teff, u.K)
-            self.particles.stellar_type = np.asarray(stype)
+            adopt = self.particles._adopt_attribute
+            adopt("mass", Quantity(mass, u.MSun))
+            adopt("radius", Quantity(radius, u.RSun))
+            adopt("luminosity", Quantity(lum, u.LSun))
+            adopt("temperature", Quantity(teff, u.K))
+            adopt("stellar_type", stype)
         return self.particles
 
     time_of_next_supernova = _query("time_of_next_supernova", u.Myr)

@@ -239,22 +239,22 @@ class SSEInterface(CodeInterface):
     # -- getters (RPC surface) ---------------------------------------------------
 
     def get_mass(self, ids=None):
-        return self.storage.get("mass", ids)
+        return self.storage.read("mass", ids)
 
     def get_luminosity(self, ids=None):
-        return self.storage.get("luminosity", ids)
+        return self.storage.read("luminosity", ids)
 
     def get_radius(self, ids=None):
-        return self.storage.get("radius", ids)
+        return self.storage.read("radius", ids)
 
     def get_temperature(self, ids=None):
-        return self.storage.get("temperature", ids)
+        return self.storage.read("temperature", ids)
 
     def get_stellar_type(self, ids=None):
         return self.storage.get("stellar_type", ids).astype(int)
 
     def get_age(self, ids=None):
-        return self.storage.get("age", ids)
+        return self.storage.read("age", ids)
 
     def get_state(self, ids=None):
         """(mass, radius, luminosity, temperature, stellar_type)."""

@@ -13,7 +13,7 @@ state through the coupler.
 >>> stars = Particles(3)
 >>> stars.mass = 1.0 | units.MSun          # broadcast scalar
 >>> stars[0].mass = 2.0 | units.MSun       # per-particle access
->>> stars.total_mass().value_in(units.MSun)
+>>> float(stars.total_mass().value_in(units.MSun))
 4.0
 """
 
@@ -39,8 +39,12 @@ def _take_keys(n):
     return np.arange(start, start + n, dtype=np.int64)
 
 
-def _broadcast_number(value, n, current=None):
-    """Normalise an attribute payload to an (n,) or (n, d) float array."""
+def _broadcast_number(value, n, current=None, copy=True):
+    """Normalise an attribute payload to an (n,) or (n, d) float array.
+
+    A payload that already is such an array comes back as itself when
+    *copy* is false (the caller owns it), else as a copy; any other
+    payload comes back as a new array either way."""
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         if current is not None and current.ndim == 2:
@@ -56,7 +60,7 @@ def _broadcast_number(value, n, current=None):
             f"attribute payload has leading dimension {arr.shape[0]}, "
             f"expected {n}"
         )
-    return arr.copy() if arr is value else arr
+    return arr.copy() if copy and arr is value else arr
 
 
 class Particles:
@@ -132,12 +136,56 @@ class Particles:
         return Quantity(number, unit)
 
     def set_attribute(self, name, value, indices=None):
-        """Store attribute *name*; scalars broadcast over the set."""
+        """Store attribute *name*; scalars broadcast over the set.
+
+        A full assignment stores a new array, never the caller's own,
+        and makes at most one pass over it: a value in the stored unit
+        (or without one) is copied, a value in another unit of the same
+        dimension is converted into a fresh array that is stored as it
+        is.  A partial one (*indices*) writes into the stored array."""
+        number, unit, factor, current = self._normalise(
+            name, value, indices is not None
+        )
+        if factor != 1.0:
+            number = np.asarray(number, dtype=float) * factor
+        if indices is None:
+            arr = _broadcast_number(
+                number, self._n,
+                None if current is None else current[0],
+                copy=factor == 1.0,
+            )
+            self._attributes[name] = (arr, unit)
+        else:
+            current[0][indices] = number
+
+    def _adopt_attribute(self, name, value):
+        """Store the full column *value* as attribute *name* without
+        copying it: the caller hands over memory nothing else holds
+        (the mirror refresh's decoded columns).  A value in another
+        unit of the stored dimension is converted in place, and only
+        when the factor is not exactly 1.0 (``x *= f`` rounds as
+        ``x * f`` does)."""
+        number, unit, factor, current = self._normalise(name, value, False)
+        arr = _broadcast_number(
+            number, self._n, None if current is None else current[0],
+            copy=False,
+        )
+        if factor != 1.0:
+            arr *= factor
+        self._attributes[name] = (arr, unit)
+
+    def _normalise(self, name, value, partial):
+        """(number, unit, factor, current entry) for storing *value* as
+        attribute *name*: *number* times *factor* is the value in the
+        stored *unit*, so the backing array never changes unit under a
+        view; *current* is None when the assignment replaces the
+        attribute."""
         current = self._attributes.get(name)
         if isinstance(value, Quantity):
             number, unit = value.number, value.unit
         else:
             number, unit = value, None
+        factor = 1.0
         if current is not None and current[1] is not None:
             if unit is None:
                 raise TypeError(
@@ -145,12 +193,9 @@ class Particles:
                     "assign a quantity"
                 )
             if unit.powers == current[1].powers:
-                # Normalise to the stored unit so the backing array never
-                # changes unit under a view.
-                number = np.asarray(number, dtype=float) \
-                    * unit.conversion_factor_to(current[1])
+                factor = unit.conversion_factor_to(current[1])
                 unit = current[1]
-            elif indices is not None:
+            elif partial:
                 raise TypeError(
                     f"cannot partially assign {unit} into attribute "
                     f"{name!r} stored as {current[1]}"
@@ -159,18 +204,11 @@ class Particles:
                 # Full reassignment with a different dimension replaces
                 # the attribute (e.g. converting a set nbody -> SI).
                 current = None
-        if indices is None:
-            arr = _broadcast_number(
-                number, self._n,
-                None if current is None else current[0],
+        if partial and current is None:
+            raise AttributeError(
+                f"cannot partially assign unknown attribute {name!r}"
             )
-            self._attributes[name] = (arr, unit)
-        else:
-            if current is None:
-                raise AttributeError(
-                    f"cannot partially assign unknown attribute {name!r}"
-                )
-            current[0][indices] = number
+        return number, unit, factor, current
 
     def get_attribute(self, name, indices=None):
         number, unit = self._attributes[name]

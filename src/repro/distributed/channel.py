@@ -72,6 +72,7 @@ import threading
 from ..rpc.channel import (
     AsyncRequest,
     StreamChannel,
+    hang_up,
     register_channel_factory,
 )
 from ..rpc.protocol import (
@@ -232,16 +233,7 @@ class _DaemonLink(StreamChannel):
     def close(self):
         """Drop the connection (the daemon reaps an empty session)."""
         self._stopped = True
-        try:
-            # shutdown first: a bare close() from this process neither
-            # wakes the reader thread nor tells the daemon
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        hang_up(self._sock)
 
     stop = close
 

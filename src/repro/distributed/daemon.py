@@ -87,11 +87,12 @@ import threading
 import time
 import traceback
 
-from ..rpc.channel import call_entry, worker_loop
+from ..rpc.channel import call_entry, hang_up, worker_loop
 from ..rpc.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     RelayScratch,
+    RemoteError,
     WireState,
     accept_capabilities,
     parse_hello,
@@ -117,20 +118,6 @@ def _check_mode(worker_mode):
             f"known: {sorted(_WORKER_MODES)}"
         )
     return worker_mode
-
-
-def _hang_up(sock):
-    """Shut a socket down, then close it: ``shutdown`` wakes a thread
-    blocked in ``recv`` or ``accept`` on it, which ``close`` from
-    another thread of the same process does not."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
 
 
 class _Connection:
@@ -186,6 +173,8 @@ class _Pilot:
     def __init__(self, factory_bytes, worker_mode, relay, warm_pool):
         self.mode = worker_mode
         self.relay = relay
+        self._stop_lock = threading.Lock()
+        self._stopped = False
         if worker_mode == "thread":
             self.interface = pickle.loads(factory_bytes)()
             self.code = type(self.interface).__name__
@@ -202,6 +191,10 @@ class _Pilot:
             try:
                 self._bootstrap(channel, factory_bytes)
                 self.warm = True
+            except RemoteError:
+                # the child ran the tenant's factory and reported its
+                # failure; a cold child would report the same
+                raise
             except Exception:  # noqa: BLE001 - warm claim best-effort
                 logger.exception("warm pilot bootstrap failed; cold-spawning")
                 channel = None
@@ -245,17 +238,24 @@ class _Pilot:
         return {"message": "relayed pilot (daemon thread) connection lost"}
 
     def stop(self):
-        if self.relay_sock is not None:
-            # wakes the splice's downstream pump out of its recv
-            _hang_up(self.relay_sock)
-        if self.channel is not None:
-            self.channel.stop()
-        elif self.relay:
-            self._thread.join(timeout=5.0)
-        else:
-            stop = getattr(self.interface, "stop", None)
-            if stop is not None:
-                stop()
+        """Stop the pilot, once: a second caller waits for the first,
+        so whoever returns knows the pilot is gone (a subprocess
+        pilot reaped)."""
+        with self._stop_lock:
+            if self._stopped:
+                return
+            self._stopped = True
+            if self.relay_sock is not None:
+                # wakes the splice's downstream pump out of its recv
+                hang_up(self.relay_sock)
+            if self.channel is not None:
+                self.channel.stop()
+            elif self.relay:
+                self._thread.join(timeout=5.0)
+            else:
+                stop = getattr(self.interface, "stop", None)
+                if stop is not None:
+                    stop()
 
 
 class IbisDaemon:
@@ -391,7 +391,7 @@ class IbisDaemon:
 
     def _teardown(self):
         for listener in self._listeners:
-            _hang_up(listener)
+            hang_up(listener)
         if not self.admission.close(self._drain_timeout):
             logger.warning(
                 "shutdown: pilot calls still running after %.1fs drain",
@@ -408,7 +408,7 @@ class IbisDaemon:
         with self._lock:
             served, self._served = self._served, {}
         for conn in served:
-            _hang_up(conn)
+            hang_up(conn)
         # every thread was woken above: one deadline bounds them all
         deadline = time.monotonic() + 2.0
         current = threading.current_thread()
@@ -816,10 +816,11 @@ class IbisDaemon:
             pass
         # client leg over (EOF, error, or a bad frame): retire the
         # pilot — shutdown wakes the downstream pump out of its recv,
-        # stop() runs the usual escalation for subprocess pilots
+        # stop() runs the usual escalation for subprocess pilots.  It
+        # stays in the session until it is stopped, so a close_session
+        # racing this returns only once the pilot is gone
         with self._lock:
-            still = session.workers.pop(worker_id, None)
-            session.worker_meta.pop(worker_id, None)
+            still = session.workers.get(worker_id)
         try:
             pilot.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -829,6 +830,9 @@ class IbisDaemon:
                 still.stop()
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass
+            with self._lock:
+                session.workers.pop(worker_id, None)
+                session.worker_meta.pop(worker_id, None)
         down.join(timeout=5.0)
         scratch.close()
 

@@ -555,9 +555,17 @@ class StreamChannel(Channel):
         return call_id
 
     def _send_frame_locked(self, message):
-        with self._send_lock:
-            self.bytes_sent += send_frame(self._sock, message, self._wire)
-            self.frames_sent += 1
+        """Send one frame under the send lock.  A peer that hung up
+        raises the loss error the reader gives stranded requests, not
+        the raw socket error."""
+        try:
+            with self._send_lock:
+                self.bytes_sent += send_frame(
+                    self._sock, message, self._wire
+                )
+                self.frames_sent += 1
+        except OSError as exc:
+            raise self._connection_lost_error() from exc
 
     def _dispatch_call(self, method, args, kwargs):
         request = AsyncRequest()
@@ -807,11 +815,7 @@ class StreamChannel(Channel):
                 self._dispatch_call("stop", (), {}).result(
                     timeout=self._stop_timeout
                 )
-            except (ProtocolError, RemoteError, TimeoutError,
-                    OSError) as exc:
-                # OSError: the peer died and the reader's loss cleanup
-                # has not marked _stopped yet — the dispatch hit the
-                # dead socket directly; same no-ack outcome
+            except (ProtocolError, RemoteError, TimeoutError) as exc:
                 if warn_on_noack:
                     warnings.warn(
                         f"{self._describe()}: worker did not "
@@ -824,11 +828,8 @@ class StreamChannel(Channel):
         if self._closed:
             return False
         self._closed = True
-        try:
-            if self._sock is not None:
-                self._sock.close()
-        except OSError:
-            pass
+        if self._sock is not None:
+            hang_up(self._sock)
         return True
 
     # -- adaptive micro-batching (Nagle for RPC) -----------------------------
@@ -907,12 +908,7 @@ class StreamChannel(Channel):
                         [(m, a, k) for m, a, k, _req in entries],
                     ))
             except BaseException as exc:
-                if isinstance(exc, OSError):
-                    # the send was deferred, so the caller never sees
-                    # the raw socket error — deliver the same loss
-                    # error the reader thread gives stranded pendings
-                    failure = self._connection_lost_error()
-                elif isinstance(exc, Exception):
+                if isinstance(exc, Exception):
                     failure = exc
                 else:
                     failure = ProtocolError(
@@ -989,6 +985,20 @@ class StreamChannel(Channel):
         if self._autobatch is not None:
             return self._queue_autobatch(method, args, kwargs)
         return self._dispatch_call(method, args, kwargs)
+
+
+def hang_up(sock):
+    """Shut a socket down, then close it: ``shutdown`` wakes a thread
+    blocked in ``recv`` or ``accept`` on it, which ``close`` from
+    another thread of the same process does not."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def call_entry(fn):
@@ -1247,11 +1257,8 @@ class SocketChannel(StreamChannel):
         except BaseException:
             self._release_shm()
             for sock in (self._sock, listener):
-                try:
-                    if sock is not None:
-                        sock.close()
-                except OSError:
-                    pass
+                if sock is not None:
+                    hang_up(sock)
             self._worker_thread.join(timeout=self._stop_timeout)
             raise
 

@@ -1,9 +1,13 @@
 """Particle set data model tests."""
 
+import doctest
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.datamodel.particles
 from repro.datamodel import Particles
 from repro.units import nbody_system, units
 
@@ -128,6 +132,68 @@ class TestSetOperations:
         assert np.array_equal(copy.key, stars.key)
         copy.mass = 0.0 | units.MSun
         assert stars.mass.value_in(units.MSun)[0] == 1.0
+
+
+def _peak_allocation(call):
+    """Bytes *call* had allocated at its peak, beyond what it keeps."""
+    tracemalloc.start()
+    try:
+        call()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestSetAttributeCopies:
+    """A full assignment stores a new array, never the caller's, and
+    allocates at most one column for it; the mirror refresh's private
+    entry point stores the column it is handed."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("unit", [units.parsec, units.km])
+    def test_one_pass_and_no_alias(self, unit):
+        p = Particles(self.N)
+        p.position = np.zeros((self.N, 3)) | units.parsec
+        value = np.random.default_rng(0).normal(size=(self.N, 3))
+        expected = value * unit.conversion_factor_to(units.parsec)
+        peak = _peak_allocation(
+            lambda: p.set_attribute("position", value | unit)
+        )
+        assert peak < 1.5 * value.nbytes
+        stored = p.position.number
+        assert not np.shares_memory(stored, value)
+        assert np.array_equal(stored, expected)
+
+    @pytest.mark.parametrize("unit", [units.parsec, units.km])
+    def test_adopted_column_is_stored_as_handed(self, unit):
+        p = Particles(self.N)
+        p.position = np.zeros((self.N, 3)) | units.parsec
+        value = np.random.default_rng(0).normal(size=(self.N, 3))
+        expected = value * unit.conversion_factor_to(units.parsec)
+        peak = _peak_allocation(
+            lambda: p._adopt_attribute("position", value | unit)
+        )
+        assert peak < 0.5 * value.nbytes
+        assert p.position.number is value
+        assert p.position.unit is units.parsec
+        assert np.array_equal(value, expected)
+
+    def test_adopted_column_length_is_checked(self):
+        p = Particles(3)
+        with pytest.raises(ValueError, match="leading dimension"):
+            p._adopt_attribute("mass", np.ones(4) | units.MSun)
+
+
+class TestDocExamples:
+    """The module docstring's example runs as written; tier-1 collects
+    no doctests itself, so this is what keeps it true."""
+
+    def test_examples_pass(self):
+        result = doctest.testmod(repro.datamodel.particles)
+        assert result.attempted > 0
+        assert result.failed == 0
 
 
 class TestChannels:

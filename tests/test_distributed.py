@@ -264,6 +264,57 @@ class TestFactoryUnpickling:
         assert _settle(lambda: not (_child_pids() - children_before))
 
 
+    @pytest.mark.parametrize("relay", [False, True])
+    def test_failed_factory_on_a_warm_child_is_not_respawned(
+        self, monkeypatch, relay
+    ):
+        """The claimed warm child reports the tenant's factory error;
+        a cold child would report the same, so none is spawned."""
+        cold_spawns = []
+        real_channel = daemon_mod.SubprocessChannel
+
+        def spy(*args, **kwargs):
+            cold_spawns.append(args)
+            return real_channel(*args, **kwargs)
+
+        monkeypatch.setattr(daemon_mod, "SubprocessChannel", spy)
+        with IbisDaemon(warm_pool=1) as daemon:
+            assert daemon.warm_pool.ready(1, timeout=60)
+            client = socket.create_connection(daemon.address)
+            try:
+                send_frame(client, ("hello", 1, PROTOCOL_VERSION, {}))
+                assert recv_frame(client)[:2] == ("result", 1)
+                send_frame(client, (
+                    "start_worker", 2, b"not a pickle", "local", 1,
+                    "subprocess", None, {"relay": relay},
+                ))
+                reply = recv_frame(client)
+            finally:
+                client.close()
+        assert reply[:2] == ("error", 2)
+        assert "UnpicklingError" in reply[2] + reply[3]
+        assert cold_spawns == []
+
+
+class TestSessionClose:
+    def test_close_returns_with_every_pilot_reaped(self, daemon):
+        """A relayed stop hangs up the client leg, and the daemon
+        retires that pilot on the relay's thread; ``Session.close``
+        must still return only once every pilot of the session has
+        exited and been reaped."""
+        children_before = _child_pids()
+        session = connect(daemon, relay=True)
+        channels = [
+            session.code(ArrayEchoInterface, channel_type="subprocess")
+            for _ in range(2)
+        ]
+        pilots = _child_pids() - children_before
+        assert len(pilots) == 2
+        channels[0].stop()
+        session.close()
+        assert not (_child_pids() & pilots)
+
+
 class TestControlFrameAccounting:
     """One scripted frame sequence pins the per-session accounting the
     status endpoint reports, frame by frame."""

@@ -205,6 +205,99 @@ class TestMirrorAfterEvolve:
                 ), attr
 
 
+_PLACEMENTS = [
+    "direct",
+    pytest.param("sockets", marks=_network),
+    pytest.param("subprocess", marks=_network),
+    pytest.param("shm", marks=_network),
+    pytest.param("relay", marks=_network),
+]
+
+
+class TestMirrorOwnsItsColumns:
+    """A whole-set pull hands the mirror columns that nothing else
+    holds, so the mirror and the worker change only through the pulls
+    and pushes between them — on every placement, the in-process one
+    included.  Generic units: no conversion makes a copy that would
+    hide an alias."""
+
+    N = 16
+
+    def _loaded(self, stack, kind):
+        code = TestMirrorAfterEvolve._placed(stack, kind, PhiGRAPE, None)
+        code.add_particles(new_plummer_model(self.N, rng=3))
+        return code
+
+    @pytest.mark.parametrize("kind", _PLACEMENTS)
+    def test_worker_kick_reaches_the_mirror_at_the_next_pull(self, kind):
+        with contextlib.ExitStack() as stack:
+            code = self._loaded(stack, kind)
+            code.pull_state()
+            pulled = code.particles.velocity.number.copy()
+            code.kick(nbody_system.speed.as_quantity()
+                      * np.ones((self.N, 3)))
+            assert np.array_equal(code.particles.velocity.number, pulled)
+            code.pull_state()
+            assert np.array_equal(
+                code.particles.velocity.number, pulled + 1.0
+            )
+
+    @pytest.mark.parametrize("kind", _PLACEMENTS)
+    def test_mirror_edit_reaches_the_worker_at_the_next_push(self, kind):
+        with contextlib.ExitStack() as stack:
+            code = self._loaded(stack, kind)
+            code.pull_state()
+            worker = code.channel.call("get_velocity")
+            code.particles.velocity.number[...] += 1.0
+            assert np.array_equal(code.channel.call("get_velocity"), worker)
+            code.push_state()
+            pushed = code.particles.velocity.number.copy()
+            assert np.array_equal(code.channel.call("get_velocity"), pushed)
+            code.particles.velocity.number[...] += 1.0
+            assert np.array_equal(code.channel.call("get_velocity"), pushed)
+
+    @pytest.mark.parametrize("cls, columns", [
+        (PhiGRAPE, {"get_mass": "mass", "get_position": "pos",
+                    "get_velocity": "vel"}),
+        (Gadget, {"get_internal_energy": "u", "get_density": "rho",
+                  "get_smoothing_length": "h"}),
+        (SSE, {"get_mass": "mass", "get_radius": "radius",
+               "get_luminosity": "luminosity",
+               "get_temperature": "temperature", "get_age": "age"}),
+    ], ids=lambda v: getattr(v, "__name__", "columns"))
+    def test_direct_whole_set_getters_copy(self, cls, columns):
+        code = cls() if cls is SSE else cls(None)
+        particles = new_plummer_gas_model(self.N, rng=3) \
+            if cls is Gadget else new_plummer_model(self.N, rng=3)
+        if cls is SSE:
+            particles.mass = np.linspace(1.0, 30.0, self.N) | units.MSun
+        code.add_particles(particles)
+        interface = code.channel.interface
+        results = [getattr(interface, g)() for g in columns]
+        if cls is SSE:
+            results += list(interface.get_state())
+        stored = [interface.storage.arrays[f] for f in columns.values()]
+        for result in results:
+            for live in stored:
+                assert result is not live
+                assert not np.shares_memory(result, live)
+        code.stop()
+
+    @_network
+    def test_pull_request_bytes_do_not_grow_with_n(self):
+        sent = []
+        for n in (10, 10_000):
+            code = PhiGRAPE(channel_type="sockets")
+            code.add_particles(
+                new_plummer_model(n, rng=3, do_scale=False))
+            before = code.channel.transport_stats["bytes_sent"]
+            code.pull_state()
+            sent.append(code.channel.transport_stats["bytes_sent"]
+                        - before)
+            code.stop()
+        assert sent[0] == sent[1]
+
+
 class TestHydroWrapper:
     def test_add_gas_with_internal_energy(self, converter):
         gas = new_plummer_gas_model(64, convert_nbody=converter, rng=2)
